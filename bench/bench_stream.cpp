@@ -2,7 +2,9 @@
 // application (StreamingGraph::apply) across batch sizes {1k, 10k, 100k} and
 // a thread sweep, insert-only and 80/20 insert/delete mixed streams, against
 // the serial one-edge-at-a-time reference (a raw DynamicGraph
-// insert_edge/delete_edge loop in stream order).
+// insert_edge/delete_edge loop in stream order).  The same sweep runs again
+// with eager snapshots on (the service mode): every batch also publishes
+// its epoch's CSR image, patched from the previous one.
 //
 //   bench_stream [--smoke] [--json out.json]
 //
@@ -10,6 +12,9 @@
 // CI can run this as a smoke step, but keeps the 100k-update batch and the
 // 8-thread point: the JSON records a "speedup" entry for batched parallel at
 // the top thread count vs the serial single-edge loop on the largest batch.
+// Records are keyed "<graph>/<mode>" x "<path>_b<batch size>", so the
+// directory-mode bench_compare.py gates each configuration separately (at
+// the top thread count, the last record of each key).
 
 #include <cstdio>
 #include <string>
@@ -56,10 +61,12 @@ std::vector<UpdateRecord> make_records(snap::vid_t n, std::size_t count,
 /// Batched path: records partitioned into batches of `batch_size`, each
 /// applied through StreamingGraph::apply at the ambient thread count.  Batch
 /// assembly is stream ingestion — both paths consume the same pre-built
-/// records, so only application is timed.
+/// records, so only application is timed.  With `eager`, every apply also
+/// publishes its epoch snapshot; the first publication (a full to_csr of
+/// the base) happens before the timer starts.
 double run_batched(const snap::CSRGraph& base,
                    const std::vector<UpdateRecord>& recs,
-                   std::size_t batch_size) {
+                   std::size_t batch_size, bool eager) {
   std::vector<UpdateBatch> batches;
   std::size_t at = 0;
   while (at < recs.size()) {
@@ -75,6 +82,7 @@ double run_batched(const snap::CSRGraph& base,
     at = hi;
   }
   StreamingGraph sg(DynamicGraph::from_csr(base));
+  sg.set_eager_snapshots(eager);
   snap::WallTimer timer;
   for (const UpdateBatch& batch : batches) sg.apply(batch);
   return timer.elapsed_s();
@@ -136,6 +144,9 @@ int main(int argc, char** argv) {
 
   for (const Mode& mode : modes) {
     const auto recs = make_records(n, total_updates, mode.delete_pct, 13);
+    const std::string dataset =
+        (use_corpus ? corpus_name : std::string("rmat_fold")) + "/" +
+        mode.label;
     std::printf("\n-- %s (n=%lld, m=%lld, %zu updates) --\n", mode.label,
                 static_cast<long long>(n), static_cast<long long>(m),
                 recs.size());
@@ -143,21 +154,26 @@ int main(int argc, char** argv) {
     const double serial_s = run_serial_single_edge(base, recs);
     std::printf("%-24s %12.3fs %14.0f updates/s\n", "serial single-edge",
                 serial_s, ups(recs.size(), serial_s));
-    report.record("rmat_fold", {{"mode", mode.label}}, 1,
-                  "serial_single_edge", serial_s, ups(recs.size(), serial_s));
+    report.record(dataset, {{"mode", mode.label}}, 1, "serial_single_edge",
+                  serial_s, ups(recs.size(), serial_s));
 
     double top_batched_s = 0;
-    for (const std::size_t bs : batch_sizes) {
-      for (const int t : threads) {
-        snap::parallel::ThreadScope scope(t);
-        const double s = run_batched(base, recs, bs);
-        std::printf("batch=%-8zu threads=%d %9.3fs %14.0f updates/s\n", bs, t,
-                    s, ups(recs.size(), s));
-        report.record("rmat_fold",
-                      {{"mode", mode.label},
-                       {"batch_size", std::to_string(bs)}},
-                      t, "batched", s, ups(recs.size(), s));
-        if (bs == batch_sizes.back() && t == top_threads) top_batched_s = s;
+    for (const bool eager : {false, true}) {
+      const char* path = eager ? "eager" : "batched";
+      for (const std::size_t bs : batch_sizes) {
+        for (const int t : threads) {
+          snap::parallel::ThreadScope scope(t);
+          const double s = run_batched(base, recs, bs, eager);
+          std::printf("%-7s batch=%-8zu threads=%d %9.3fs %14.0f updates/s\n",
+                      path, bs, t, s, ups(recs.size(), s));
+          report.record(dataset,
+                        {{"mode", mode.label},
+                         {"batch_size", std::to_string(bs)}},
+                        t, std::string(path) + "_b" + std::to_string(bs), s,
+                        ups(recs.size(), s));
+          if (!eager && bs == batch_sizes.back() && t == top_threads)
+            top_batched_s = s;
+        }
       }
     }
 
@@ -166,7 +182,7 @@ int main(int argc, char** argv) {
     const double speedup = top_batched_s > 0 ? serial_s / top_batched_s : 0.0;
     std::printf("speedup (batch=%zu, %d threads vs serial): %.2fx\n",
                 batch_sizes.back(), top_threads, speedup);
-    report.record("rmat_fold",
+    report.record(dataset,
                   {{"mode", mode.label},
                    {"batch_size", std::to_string(batch_sizes.back())},
                    {"speedup", std::to_string(speedup)}},

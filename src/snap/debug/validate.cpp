@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 #include <sstream>
 
@@ -525,6 +526,32 @@ ValidationReport validate(const CSRGraph& g, const LouvainLevel& lvl,
   ck.require(std::abs(q - lvl.modularity()) <= tol, "level modularity ",
              lvl.modularity(), " does not match recomputation ", q);
   return report;
+}
+
+// ---------------------------------------------------------------------------
+// CSR image equality.
+
+namespace {
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+}  // namespace
+
+bool same_image(const CSRGraph& a, const CSRGraph& b) {
+  return a.num_vertices() == b.num_vertices() &&
+         a.num_edges() == b.num_edges() && a.directed() == b.directed() &&
+         a.weighted() == b.weighted() &&
+         a.adjacency_sorted() == b.adjacency_sorted() &&
+         same_bytes(Access::offsets(a), Access::offsets(b)) &&
+         same_bytes(Access::adj(a), Access::adj(b)) &&
+         same_bytes(Access::weights(a), Access::weights(b)) &&
+         same_bytes(Access::arc_edge_ids(a), Access::arc_edge_ids(b)) &&
+         same_bytes(a.edges(), b.edges());
 }
 
 // ---------------------------------------------------------------------------

@@ -144,6 +144,12 @@ struct Access {
                                         const LouvainLevel& lvl,
                                         double tol = 1e-6);
 
+/// True if two CSR images are identical byte for byte: n, m, the
+/// directed/weighted/sorted flags, and every array (offsets, adjacency,
+/// weights, arc edge ids, edge list).  The level-2 postcondition that an
+/// incrementally patched snapshot equals the full rebuild.
+[[nodiscard]] bool same_image(const CSRGraph& a, const CSRGraph& b);
+
 /// Streaming engine: the wrapped DynamicGraph validates, and the epoch-cached
 /// snapshot (when fresh) agrees with the live graph's vertex/edge counts.
 [[nodiscard]] ValidationReport validate(const stream::StreamingGraph& sg);

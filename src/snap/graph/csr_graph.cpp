@@ -172,6 +172,36 @@ void sort_adjacency_slices(vid_t n, const std::vector<eid_t>& offsets,
   });
 }
 
+using EdgePair = std::pair<vid_t, vid_t>;
+
+inline bool edge_before(const Edge& e, const EdgePair& p) {
+  return e.u < p.first || (e.u == p.first && e.v < p.second);
+}
+
+/// One arc an inserted edge adds to a row, carrying its new edge id.
+struct PatchArc {
+  vid_t owner;
+  vid_t nbr;
+  eid_t id;
+};
+
+/// A row the batch changes: its inserted arcs are [ins_begin, ins_end) of
+/// the sorted PatchArc array, and its length moves by `delta` arcs.
+struct TouchedRow {
+  vid_t v;
+  std::size_t ins_begin;
+  std::size_t ins_end;
+  eid_t delta;
+};
+
+/// True if `s` is strictly ascending (sorted, no duplicates).
+bool strictly_ascending(std::span<const EdgePair> s) {
+  return std::adjacent_find(s.begin(), s.end(),
+                            [](const EdgePair& a, const EdgePair& b) {
+                              return !(a < b);
+                            }) == s.end();
+}
+
 }  // namespace
 
 CSRGraph CSRGraph::from_edges(vid_t n, const EdgeList& input, bool directed,
@@ -331,6 +361,247 @@ CSRGraph CSRGraph::from_parts(vid_t n, eid_t m, bool directed, bool weighted,
   g.edge_endpoints_ = std::move(edge_endpoints);
   SNAP_VALIDATE(g);
   return g;
+}
+
+CSRGraph CSRGraph::patched(const CSRGraph& prev, vid_t n,
+                           std::span<const EdgePair> inserted,
+                           std::span<const EdgePair> deleted) {
+  SNAP_ASSERT(prev.sorted_ && !prev.weighted_ &&
+                  prev.offsets_.size() ==
+                      static_cast<std::size_t>(prev.n_) + 1,
+              "patched: prev is not an unweighted sorted CSR image");
+  SNAP_ASSERT(n >= prev.n_, "patched: n=", n, " shrinks prev's ", prev.n_,
+              " vertices");
+  SNAP_DCHECK(strictly_ascending(inserted) && strictly_ascending(deleted),
+              "patched: change lists must be strictly ascending");
+  const bool directed = prev.directed_;
+  const vid_t n_old = prev.n_;
+  const EdgeList& old_edges = prev.edge_endpoints_;
+  const auto m_old = static_cast<std::size_t>(prev.m_);
+  const std::size_t ni = inserted.size();
+  const std::size_t nd = deleted.size();
+  SNAP_ASSERT(nd <= m_old, "patched: deletes ", nd, " of ", m_old, " edges");
+  const std::size_t m = m_old + ni - nd;
+  // Small images patch on one thread: like from_edges' serial path, the
+  // team forks would cost more than the copy itself.
+  const int nt = prev.adj_.size() + ni + nd < kParallelBuildCutoff
+                     ? 1
+                     : parallel::num_threads();
+  // Thread t's static block of [0, count).
+  auto block = [nt](std::size_t count, int t) {
+    const auto ut = static_cast<std::size_t>(t);
+    const auto unt = static_cast<std::size_t>(nt);
+    return std::pair{count * ut / unt, count * (ut + 1) / unt};
+  };
+  const std::size_t stride = directed ? 1 : 2;
+
+  // 1. Old positions: a deleted edge's id, an inserted edge's insertion
+  //    point (the id of the first old edge ordered after it).  Also the
+  //    rows that lose arcs: both endpoints when undirected.
+  std::vector<eid_t> del_id(nd);
+  std::vector<vid_t> del_owner(nd * stride);
+  std::vector<eid_t> ins_at(ni);
+  parallel::run_team(nt, [&](int t) {
+    const auto [dlo, dhi] = block(nd, t);
+    for (std::size_t j = dlo; j < dhi; ++j) {
+      const EdgePair& p = deleted[j];
+      const auto it = std::lower_bound(old_edges.begin(), old_edges.end(), p,
+                                       edge_before);
+      SNAP_ASSERT(it != old_edges.end() && it->u == p.first &&
+                      it->v == p.second,
+                  "patched: deleted edge (", p.first, ",", p.second,
+                  ") is not in prev");
+      del_id[j] = it - old_edges.begin();
+      del_owner[j * stride] = p.first;
+      if (!directed) del_owner[j * stride + 1] = p.second;
+    }
+    const auto [ilo, ihi] = block(ni, t);
+    for (std::size_t k = ilo; k < ihi; ++k) {
+      const EdgePair& p = inserted[k];
+      SNAP_ASSERT(p.first >= 0 && p.second >= 0 && p.first < n &&
+                      p.second < n && (directed || p.first <= p.second),
+                  "patched: inserted edge (", p.first, ",", p.second,
+                  ") is not a canonical edge over n=", n);
+      const auto it = std::lower_bound(old_edges.begin(), old_edges.end(), p,
+                                       edge_before);
+      SNAP_ASSERT(it == old_edges.end() || it->u != p.first ||
+                      it->v != p.second,
+                  "patched: inserted edge (", p.first, ",", p.second,
+                  ") is already in prev");
+      ins_at[k] = it - old_edges.begin();
+    }
+  });
+
+  // 2. Edge ids stay the rank in (u, v) order.  Old edge e survives as
+  //    e - #deleted(< e) + #inserted(at <= e); inserted edge k lands at
+  //    ins_at[k] + k - #deleted(< ins_at[k]).  One walk per block fills the
+  //    dense remap (kInvalidEid for deleted ids) and the surviving edges;
+  //    the inserted edges fill the remaining slots and emit their arcs.
+  EdgeList edges(m);
+  std::vector<eid_t> remap(m_old);
+  std::vector<PatchArc> arcs(ni * stride);
+  parallel::run_team(nt, [&](int t) {
+    const auto [lo, hi] = block(m_old, t);
+    const auto e_lo = static_cast<eid_t>(lo);
+    std::size_t d = static_cast<std::size_t>(
+        std::lower_bound(del_id.begin(), del_id.end(), e_lo) - del_id.begin());
+    std::size_t i = static_cast<std::size_t>(
+        std::lower_bound(ins_at.begin(), ins_at.end(), e_lo) - ins_at.begin());
+    for (std::size_t e = lo; e < hi; ++e) {
+      if (d < nd && static_cast<std::size_t>(del_id[d]) == e) {
+        remap[e] = kInvalidEid;
+        ++d;
+        continue;
+      }
+      while (i < ni && static_cast<std::size_t>(ins_at[i]) <= e) ++i;
+      const std::size_t id = e - d + i;
+      remap[e] = static_cast<eid_t>(id);
+      edges[id] = old_edges[e];
+    }
+    const auto [ilo, ihi] = block(ni, t);
+    for (std::size_t k = ilo; k < ihi; ++k) {
+      const auto [u, v] = inserted[k];
+      const eid_t id =
+          ins_at[k] + static_cast<eid_t>(k) -
+          (std::lower_bound(del_id.begin(), del_id.end(), ins_at[k]) -
+           del_id.begin());
+      edges[static_cast<std::size_t>(id)] = {u, v, 1.0};
+      arcs[k * stride] = {u, v, id};
+      if (!directed) arcs[k * stride + 1] = {v, u, id};
+    }
+  });
+
+  // 3. The rows the batch changes.  Inserted arcs sorted by the unique key
+  //    (owner, nbr) — only an undirected self loop's twin arcs tie, and
+  //    they are identical — merged with the owners of deleted arcs.
+  parallel::parallel_sort(arcs.begin(), arcs.end(),
+                          [](const PatchArc& a, const PatchArc& b) {
+                            return a.owner != b.owner ? a.owner < b.owner
+                                                      : a.nbr < b.nbr;
+                          });
+  parallel::parallel_sort(del_owner.begin(), del_owner.end());
+  std::vector<TouchedRow> touched;
+  std::vector<eid_t> shift{0};  // shift[j] = sum of touched[0..j).delta
+  for (std::size_t a = 0, b = 0; a < arcs.size() || b < del_owner.size();) {
+    const vid_t v = std::min(
+        a < arcs.size() ? arcs[a].owner : std::numeric_limits<vid_t>::max(),
+        b < del_owner.size() ? del_owner[b]
+                             : std::numeric_limits<vid_t>::max());
+    TouchedRow row{v, a, a, 0};
+    while (a < arcs.size() && arcs[a].owner == v) ++a;
+    row.ins_end = a;
+    row.delta = static_cast<eid_t>(a - row.ins_begin);
+    for (; b < del_owner.size() && del_owner[b] == v; ++b) --row.delta;
+    touched.push_back(row);
+    shift.push_back(shift.back() + row.delta);
+  }
+  // Index of the first touched row >= v.
+  auto first_touched = [&](vid_t v) {
+    return static_cast<std::size_t>(
+        std::lower_bound(touched.begin(), touched.end(), v,
+                         [](const TouchedRow& r, vid_t x) { return r.v < x; }) -
+        touched.begin());
+  };
+
+  // 4. Offsets: prev's offset plus the deltas of the touched rows before v.
+  const std::vector<eid_t>& old_off = prev.offsets_;
+  std::vector<eid_t> offsets(static_cast<std::size_t>(n) + 1);
+  parallel::run_team(nt, [&](int t) {
+    const auto [lo, hi] = block(static_cast<std::size_t>(n) + 1, t);
+    std::size_t j = first_touched(static_cast<vid_t>(lo));
+    for (auto v = static_cast<vid_t>(lo); v < static_cast<vid_t>(hi); ++v) {
+      while (j < touched.size() && touched[j].v < v) ++j;
+      offsets[static_cast<std::size_t>(v)] =
+          old_off[static_cast<std::size_t>(std::min(v, n_old))] + shift[j];
+    }
+  });
+  const eid_t arc_count = offsets[static_cast<std::size_t>(n)];
+  SNAP_DCHECK(arc_count == static_cast<eid_t>(directed ? m : 2 * m),
+              "patched: offsets[n]=", arc_count, " for ", m, " edges");
+
+  // 5. Rows, in blocks of about arc_count/nt arcs.  A run of untouched rows
+  //    is one contiguous slice of prev: adj is a memcpy and the ids go
+  //    through the remap, which is increasing on survivors, so the slice
+  //    stays sorted by (neighbor, edge id).  A touched row merges its
+  //    surviving old arcs with its inserted arcs on that key.
+  const auto arcs_n = static_cast<std::size_t>(arc_count);
+  std::vector<vid_t> adj(arcs_n);
+  std::vector<eid_t> ids(arcs_n);
+  std::vector<weight_t> weights(arcs_n, 1.0);
+  const std::vector<vid_t>& old_adj = prev.adj_;
+  const std::vector<eid_t>& old_ids = prev.arc_edge_ids_;
+  auto copy_rows = [&](vid_t a, vid_t b) {
+    a = std::min(a, n_old);
+    b = std::min(b, n_old);
+    if (a >= b) return;
+    const auto src =
+        static_cast<std::size_t>(old_off[static_cast<std::size_t>(a)]);
+    const auto len =
+        static_cast<std::size_t>(old_off[static_cast<std::size_t>(b)]) - src;
+    const auto dst =
+        static_cast<std::size_t>(offsets[static_cast<std::size_t>(a)]);
+    std::copy_n(old_adj.begin() + static_cast<std::ptrdiff_t>(src), len,
+                adj.begin() + static_cast<std::ptrdiff_t>(dst));
+    for (std::size_t x = 0; x < len; ++x)
+      ids[dst + x] = remap[static_cast<std::size_t>(old_ids[src + x])];
+  };
+  auto patch_row = [&](const TouchedRow& row) {
+    const auto v = static_cast<std::size_t>(row.v);
+    auto out = static_cast<std::size_t>(offsets[v]);
+    std::size_t x = 0;
+    std::size_t x_end = 0;
+    if (row.v < n_old) {
+      x = static_cast<std::size_t>(old_off[v]);
+      x_end = static_cast<std::size_t>(old_off[v + 1]);
+    }
+    std::size_t k = row.ins_begin;
+    for (;;) {
+      while (x < x_end &&
+             remap[static_cast<std::size_t>(old_ids[x])] == kInvalidEid)
+        ++x;
+      const bool has_old = x < x_end;
+      if (!has_old && k == row.ins_end) break;
+      const eid_t old_id =
+          has_old ? remap[static_cast<std::size_t>(old_ids[x])] : kInvalidEid;
+      if (k < row.ins_end &&
+          (!has_old || arcs[k].nbr < old_adj[x] ||
+           (arcs[k].nbr == old_adj[x] && arcs[k].id < old_id))) {
+        adj[out] = arcs[k].nbr;
+        ids[out] = arcs[k].id;
+        ++k;
+      } else {
+        adj[out] = old_adj[x];
+        ids[out] = old_id;
+        ++x;
+      }
+      ++out;
+    }
+    SNAP_DCHECK(out == static_cast<std::size_t>(offsets[v + 1]),
+                "patched: row ", row.v, " filled to ", out, " of ",
+                offsets[v + 1]);
+  };
+  std::vector<vid_t> row_block(static_cast<std::size_t>(nt) + 1, n);
+  for (int t = 0; t < nt; ++t)
+    row_block[static_cast<std::size_t>(t)] = static_cast<vid_t>(
+        std::lower_bound(offsets.begin(), offsets.end() - 1,
+                         arc_count * t / nt) -
+        offsets.begin());
+  parallel::run_team(nt, [&](int t) {
+    const vid_t hi = row_block[static_cast<std::size_t>(t) + 1];
+    vid_t v = row_block[static_cast<std::size_t>(t)];
+    for (std::size_t j = first_touched(v); v < hi; ++j) {
+      const vid_t next =
+          j < touched.size() && touched[j].v < hi ? touched[j].v : hi;
+      copy_rows(v, next);
+      if (next == hi) break;
+      patch_row(touched[j]);
+      v = next + 1;
+    }
+  });
+
+  return from_parts(n, static_cast<eid_t>(m), directed, /*weighted=*/false,
+                    /*sorted=*/true, std::move(offsets), std::move(adj),
+                    std::move(weights), std::move(ids), std::move(edges));
 }
 
 bool CSRGraph::has_edge(vid_t u, vid_t v) const {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "snap/debug/fwd.hpp"
@@ -62,6 +63,20 @@ class CSRGraph {
                              std::vector<weight_t> weights,
                              std::vector<eid_t> arc_edge_ids,
                              EdgeList edge_endpoints);
+
+  /// The image `from_edges` would build (self loops kept, dedupe on) for
+  /// `prev`'s edge set minus `deleted` plus `inserted`, over n >= prev's
+  /// vertex count — built by patching prev's arrays instead of re-sorting
+  /// everything, so it costs one copy of prev plus O(batch log m).  `prev`
+  /// must be such an image itself (unweighted, sorted rows, edges in (u, v)
+  /// order).  Both lists are canonical (u <= v when undirected), strictly
+  /// ascending and disjoint; every deleted edge is in prev and no inserted
+  /// one is.  This is the incremental publication path of
+  /// stream::StreamingGraph; the result is byte-identical to the full
+  /// rebuild (docs/ALGORITHMS.md "Streaming updates").
+  static CSRGraph patched(const CSRGraph& prev, vid_t n,
+                          std::span<const std::pair<vid_t, vid_t>> inserted,
+                          std::span<const std::pair<vid_t, vid_t>> deleted);
 
   [[nodiscard]] vid_t num_vertices() const { return n_; }
   [[nodiscard]] eid_t num_edges() const { return m_; }

@@ -23,8 +23,16 @@ vid_t DynamicGraph::add_vertex() {
 
 void DynamicGraph::ensure_vertices(vid_t n) {
   if (n <= num_vertices()) return;
-  flat_.resize(static_cast<std::size_t>(n));
-  treap_.resize(static_cast<std::size_t>(n));
+  // Reserve both arrays before resizing either: a failed allocation then
+  // leaves flat_ and treap_ the same size, and the resizes cannot throw.
+  // Geometric, as resize() alone would be, so one-vertex growth stays
+  // amortized O(1).
+  const auto want = static_cast<std::size_t>(n);
+  const std::size_t cap = std::max(want, 2 * flat_.size());
+  flat_.reserve(cap);
+  treap_.reserve(cap);
+  flat_.resize(want);
+  treap_.resize(want);
 }
 
 bool DynamicGraph::insert_arc(vid_t u, vid_t v) {
@@ -87,12 +95,6 @@ bool DynamicGraph::has_edge(vid_t u, vid_t v) const { return has_arc(u, v); }
 eid_t DynamicGraph::degree(vid_t v) const {
   return treap_[v].empty() ? static_cast<eid_t>(flat_[v].size())
                            : static_cast<eid_t>(treap_[v].size());
-}
-
-void DynamicGraph::for_each_neighbor(
-    vid_t v, const std::function<void(vid_t)>& fn)  // lint:allow(std-function)
-    const {
-  for_each_neighbor(v, [&fn](vid_t u) { fn(u); });
 }
 
 CSRGraph DynamicGraph::to_csr() const {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "snap/debug/fwd.hpp"
@@ -66,12 +65,6 @@ class DynamicGraph {
       for (vid_t u : flat_[s]) fn(u);
     }
   }
-
-  /// ABI-friendly non-template overload (kept for existing out-of-line
-  /// callers; lambdas resolve to the template above).
-  void for_each_neighbor(vid_t v,
-                         const std::function<void(vid_t)>& fn)  // lint:allow(std-function)
-      const;
 
   /// Snapshot to the static CSR representation (sorted adjacency).  Edge
   /// extraction is parallel (per-vertex counts + prefix sum); the result is

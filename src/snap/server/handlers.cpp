@@ -145,6 +145,9 @@ HttpResponse GraphService::handle_ingest(const HttpRequest& request) {
     if (u == nullptr || !u->is_number() || v == nullptr || !v->is_number())
       return error_response(400, "updates[" + std::to_string(i) +
                                      "] needs numeric \"u\" and \"v\"");
+    if (!u->fits_int64() || !v->fits_int64())
+      return error_response(400, "updates[" + std::to_string(i) +
+                                     "] has a vertex id out of range");
     const auto uu = static_cast<vid_t>(u->as_int64());
     const auto vv = static_cast<vid_t>(v->as_int64());
     if (uu < 0 || vv < 0)

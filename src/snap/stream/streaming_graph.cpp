@@ -1,9 +1,13 @@
 #include "snap/stream/streaming_graph.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "snap/debug/check.hpp"
 #include "snap/debug/validate.hpp"
 #include "snap/util/parallel.hpp"
 #include "snap/util/sync.hpp"
@@ -49,6 +53,11 @@ ApplyStats StreamingGraph::apply_canonical(const CanonicalBatch& cb) {
   st.raw_records = cb.raw_records;
   st.canonical_arcs = cb.arcs.size();
   const bool directed = graph_.directed();
+  // Growth happens before any other state changes, so a rejected id or a
+  // failed allocation leaves the graph and the epoch as they were.
+  if (cb.max_vid == std::numeric_limits<vid_t>::max())
+    throw std::out_of_range("StreamingGraph::apply: vertex id " +
+                            std::to_string(cb.max_vid) + " is too large");
   if (cb.max_vid >= graph_.num_vertices())
     graph_.ensure_vertices(cb.max_vid + 1);
 
@@ -137,16 +146,36 @@ ApplyStats StreamingGraph::apply_canonical(const CanonicalBatch& cb) {
   // returns, on the writer thread.  Readers pinning concurrently keep
   // seeing the previous epoch until the pointer swap; their handles keep
   // superseded snapshots alive until unpinned (RCU-style reclamation).
-  if (eager_) (void)publish_snapshot();
+  if (eager_) (void)publish_snapshot(&ab);
   return st;
 }
 
-SnapshotHandle StreamingGraph::publish_snapshot() const {
+SnapshotHandle StreamingGraph::publish_snapshot(
+    const AppliedBatch* batch) const {
   // Hidden contract: reads graph_, so only the applying thread (or a caller
   // with no concurrent writer) may enter.  The build happens outside the
-  // lock — pinning readers are never blocked behind a to_csr.
+  // lock — pinning readers are never blocked behind a build.
+  const std::uint64_t e = epoch();
+  SnapshotHandle prev;
+  if (batch != nullptr) {
+    sync::MutexLock lk(snap_mu_);
+    prev = published_;
+  }
+  // The previous epoch's image plus the batch that led here is this
+  // epoch's image: patch it.  Otherwise (lazy pins, the first eager
+  // publication) rebuild from the live graph.
+  const bool patch = prev && prev->epoch() + 1 == e;
+  CSRGraph csr = patch ? CSRGraph::patched(prev->graph(),
+                                           graph_.num_vertices(),
+                                           batch->inserted, batch->deleted)
+                       : graph_.to_csr();
+  SNAP_DCHECK(csr.num_edges() == graph_.num_edges(), "epoch ", e,
+              " snapshot has ", csr.num_edges(), " edges, the graph ",
+              graph_.num_edges());
+  SNAP_CHECK_EXPENSIVE(!patch || debug::same_image(csr, graph_.to_csr()),
+                       "epoch ", e, ": patched snapshot differs from to_csr()");
   auto snap = std::shared_ptr<const EpochSnapshot>(
-      new EpochSnapshot(graph_.to_csr(), epoch(), live_));
+      new EpochSnapshot(std::move(csr), e, live_));
   sync::MutexLock lk(snap_mu_);
   published_ = snap;
   return snap;

@@ -134,8 +134,11 @@ class StreamingGraph {
   /// Eager mode: every apply() materializes and publishes the new epoch's
   /// snapshot before returning (on the writer thread), which is what makes
   /// pin() concurrent-reader-safe.  Enabling publishes the current epoch
-  /// immediately.  Costs one to_csr per batch — the price of serving
-  /// readers a fresh immutable image per epoch.
+  /// immediately with one full to_csr().  After that each batch patches
+  /// the previous epoch's image with its applied changes
+  /// (CSRGraph::patched): one copy of the image plus O(batch log m) per
+  /// batch, instead of a full rebuild with its global sort — the price of
+  /// serving readers a fresh immutable image per epoch.
   void set_eager_snapshots(bool eager);
   [[nodiscard]] bool eager_snapshots() const { return eager_; }
 
@@ -162,9 +165,12 @@ class StreamingGraph {
   ApplyStats apply_canonical(const CanonicalBatch& cb);
 
   /// Build the current epoch's CSR and swap it in as the published
-  /// snapshot.  Reads graph_, so only the writer (or a quiescent caller)
-  /// may run it; the swap itself happens under snap_mu_.
-  SnapshotHandle publish_snapshot() const;
+  /// snapshot.  With the batch that produced this epoch, and the previous
+  /// epoch's image still published, the CSR is that image patched with the
+  /// batch (CSRGraph::patched); otherwise it is a full to_csr().  Reads
+  /// graph_, so only the writer (or a quiescent caller) may run it; the
+  /// swap itself happens under snap_mu_.
+  SnapshotHandle publish_snapshot(const AppliedBatch* batch = nullptr) const;
 
   // Writer-owned state: graph_, observers_ and eager_ are mutated only by
   // the (single) applying thread, never under snap_mu_ — the concurrency

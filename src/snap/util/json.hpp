@@ -81,8 +81,16 @@ class Value {
   [[nodiscard]] double as_double(double dflt = 0.0) const {
     return is_number() ? num_ : dflt;
   }
+  /// Truncates toward zero; a number outside [-2^63, 2^63) has no int64
+  /// value and reads as `dflt`, like a mistyped node.
   [[nodiscard]] std::int64_t as_int64(std::int64_t dflt = 0) const {
-    return is_number() ? static_cast<std::int64_t>(num_) : dflt;
+    return fits_int64() ? static_cast<std::int64_t>(num_) : dflt;
+  }
+  /// True for a number whose truncation is representable as an int64 (the
+  /// cast is undefined behaviour otherwise).  2^63 itself does not fit; it
+  /// is also what 9223372036854775807 parses to as a double.
+  [[nodiscard]] bool fits_int64() const {
+    return is_number() && num_ >= -0x1p63 && num_ < 0x1p63;
   }
   [[nodiscard]] const std::string& as_string() const { return str_; }
 

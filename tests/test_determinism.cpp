@@ -166,6 +166,43 @@ TEST(Determinism, StreamingApplyAndSnapshot) {
   ASSERT_TRUE(report.deterministic) << report.to_string();
 }
 
+TEST(Determinism, StreamingEagerPublishedEpochs) {
+  // Eager mode patches each epoch's image from the previous one; every
+  // published epoch, not just the last, must hash the same at every thread
+  // count.  The stream grows past n, deletes, and carries self loops; the
+  // later epochs pass 2^15 arcs, where the patch runs in parallel.
+  const vid_t n = 2000;
+  std::vector<stream::UpdateBatch> batches(7);
+  SplitMix64 rng(17);
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    const vid_t hi = n + 16 * static_cast<vid_t>(i);
+    for (int r = 0; r < 8000; ++r) {
+      const auto u = static_cast<vid_t>(rng.next_bounded(hi));
+      const auto v =
+          r % 50 == 0 ? u : static_cast<vid_t>(rng.next_bounded(hi));
+      if (rng.next_bounded(100) < 25)
+        batches[i].erase(u, v);
+      else
+        batches[i].insert(u, v);
+    }
+  }
+  for (const bool directed : {false, true}) {
+    const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
+      stream::StreamingGraph sg(n, directed);
+      sg.set_eager_snapshots(true);
+      for (const auto& b : batches) {
+        (void)sg.apply(b);
+        const stream::SnapshotHandle snap = sg.pin();
+        h.value(snap->epoch());
+        hash_csr(h, snap->graph());
+        h.sequence(snap->graph().edges());
+      }
+    });
+    ASSERT_TRUE(report.deterministic)
+        << (directed ? "directed: " : "undirected: ") << report.to_string();
+  }
+}
+
 TEST(Determinism, DynamicToCsrRoundTrip) {
   const CSRGraph src = gen::erdos_renyi(800, 4000, /*directed=*/false, 53);
   const auto report = debug::check_determinism([&](debug::ByteHasher& h) {

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "snap/debug/validate.hpp"
 #include "snap/gen/generators.hpp"
 #include "snap/graph/csr_graph.hpp"
 #include "snap/graph/dynamic_graph.hpp"
@@ -115,6 +119,67 @@ TEST(CSRGraph, EmptyGraph) {
   EXPECT_EQ(g.num_edges(), 0);
   EXPECT_EQ(g.degree(0), 0);
   EXPECT_EQ(g.max_degree(), 0);
+}
+
+// The image from_edges builds for a deduped edge set with self loops kept
+// (what DynamicGraph::to_csr publishes).
+CSRGraph image_of(vid_t n, const std::set<std::pair<vid_t, vid_t>>& edges,
+                  bool directed) {
+  EdgeList list;
+  for (const auto& [u, v] : edges) list.push_back({u, v, 1.0});
+  BuildOptions opts;
+  opts.remove_self_loops = false;
+  return CSRGraph::from_edges(n, list, directed, opts);
+}
+
+TEST(CSRGraph, PatchedHandExample) {
+  // Undirected: delete 0-1, insert a self loop at 1 (two arcs, one id), an
+  // edge to a new vertex 5, and 2-3 (shifting every later id).
+  const std::set<std::pair<vid_t, vid_t>> before{{0, 1}, {0, 2}, {1, 2},
+                                                 {2, 4}, {3, 3}};
+  const std::set<std::pair<vid_t, vid_t>> after{{0, 2}, {1, 1}, {1, 2},
+                                                {2, 3}, {2, 4}, {3, 3},
+                                                {4, 5}};
+  const std::vector<std::pair<vid_t, vid_t>> ins{{1, 1}, {2, 3}, {4, 5}};
+  const std::vector<std::pair<vid_t, vid_t>> del{{0, 1}};
+  const CSRGraph got =
+      CSRGraph::patched(image_of(5, before, false), 6, ins, del);
+  EXPECT_TRUE(debug::same_image(got, image_of(6, after, false)));
+  EXPECT_EQ(got.degree(1), 3);  // 1-1 twice, 1-2
+}
+
+TEST(CSRGraph, PatchedMatchesFromEdgesOnRandomBatches) {
+  SplitMix64 rng(23);
+  for (const bool directed : {false, true}) {
+    vid_t n = 60;
+    std::set<std::pair<vid_t, vid_t>> edges;
+    CSRGraph img = image_of(n, edges, directed);
+    for (int round = 0; round < 40; ++round) {
+      const vid_t grown = n + static_cast<vid_t>(rng.next_bounded(3));
+      std::set<std::pair<vid_t, vid_t>> ins;
+      std::set<std::pair<vid_t, vid_t>> del;
+      for (int i = 0; i < 30; ++i) {
+        auto u = static_cast<vid_t>(rng.next_bounded(grown));
+        auto v = static_cast<vid_t>(rng.next_bounded(grown));
+        if (!directed && u > v) std::swap(u, v);
+        if (edges.count({u, v}) != 0) {
+          if (ins.count({u, v}) == 0) del.insert({u, v});
+        } else if (del.count({u, v}) == 0) {
+          ins.insert({u, v});
+        }
+      }
+      for (const auto& e : del) edges.erase(e);
+      for (const auto& e : ins) edges.insert(e);
+      const std::vector<std::pair<vid_t, vid_t>> iv(ins.begin(), ins.end());
+      const std::vector<std::pair<vid_t, vid_t>> dv(del.begin(), del.end());
+      img = CSRGraph::patched(img, grown, iv, dv);
+      n = grown;
+      SCOPED_TRACE("round " + std::to_string(round) +
+                   (directed ? " directed" : " undirected"));
+      EXPECT_TRUE(debug::same_image(img, image_of(n, edges, directed)));
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 // ------------------------------------------------------------- Subgraph

@@ -51,6 +51,25 @@ TEST(JsonValue, ObjectInsertionOrderAndReplace) {
   EXPECT_FALSE(o.has("missing"));
 }
 
+TEST(JsonValue, AsInt64OutsideInt64RangeReadsAsDefault) {
+  // 9223372036854775807 parses to the double 2^63, which has no int64
+  // value; neither has 1e300.  Both read as the default, never a UB cast.
+  for (const char* text : {"1e300", "-1e300", "9223372036854775807",
+                           "9223372036854775808"}) {
+    const Value v = parse_ok(text);
+    EXPECT_FALSE(v.fits_int64()) << text;
+    EXPECT_EQ(v.as_int64(-7), -7) << text;
+  }
+  const Value lowest = parse_ok("-9223372036854775808");  // -2^63 fits
+  EXPECT_TRUE(lowest.fits_int64());
+  EXPECT_EQ(lowest.as_int64(), std::numeric_limits<std::int64_t>::min());
+  const Value big = parse_ok("9223372036854774784");  // 2^63 - 1024
+  EXPECT_TRUE(big.fits_int64());
+  EXPECT_EQ(big.as_int64(), 9223372036854774784LL);
+  EXPECT_EQ(parse_ok("2.9").as_int64(), 2);
+  EXPECT_FALSE(Value("12").fits_int64());
+}
+
 TEST(JsonValue, NestedChainedGet) {
   Value inner = Value::object();
   inner.set("v", 42);

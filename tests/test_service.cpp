@@ -374,6 +374,13 @@ TEST_F(ServiceTest, ErrorPaths) {
        400},
       {"POST", "/ingest", "{\"updates\":[{\"op\":\"insert\",\"u\":-4,\"v\":1}]}",
        400},
+      // Ids with no int64 value (2^63 and up) are rejected, not cast.
+      {"POST", "/ingest",
+       "{\"updates\":[{\"op\":\"insert\",\"u\":1e300,\"v\":1}]}", 400},
+      {"POST", "/ingest",
+       "{\"updates\":[{\"op\":\"insert\",\"u\":0,"
+       "\"v\":9223372036854775807}]}",
+       400},
       {"GET", "/community?algo=sorcery", "", 400},
       {"GET", "/bc-topk?k=0", "", 400},
       {"GET", "/bc-topk?k=frog", "", 400},

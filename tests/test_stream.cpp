@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "snap/debug/validate.hpp"
 #include "snap/gen/generators.hpp"
 #include "snap/graph/csr_graph.hpp"
 #include "snap/graph/dynamic_graph.hpp"
@@ -182,6 +185,43 @@ TEST(StreamingGraph, AutoGrowsVertexSet) {
   sg.apply(b);
   EXPECT_EQ(sg.graph().num_vertices(), 21);
   EXPECT_TRUE(sg.graph().has_edge(10, 20));
+}
+
+TEST(StreamingGraph, RejectsVertexIdWithNoRoomToGrow) {
+  // max_vid + 1 would overflow: the apply must throw before any state
+  // changes, in lazy and in eager mode.
+  for (const bool eager : {false, true}) {
+    StreamingGraph sg(4, false);
+    sg.set_eager_snapshots(eager);
+    UpdateBatch ok;
+    ok.insert(0, 1);
+    sg.apply(ok);
+    UpdateBatch huge;
+    huge.insert(2, 3);
+    huge.insert(std::numeric_limits<vid_t>::max(), 1);
+    EXPECT_THROW(sg.apply(huge), std::out_of_range);
+    EXPECT_EQ(sg.epoch(), 1u);
+    EXPECT_EQ(sg.graph().num_vertices(), 4);
+    EXPECT_EQ(sg.graph().num_edges(), 1);
+    EXPECT_FALSE(sg.graph().has_edge(2, 3));
+    EXPECT_EQ(sg.pin()->epoch(), 1u);
+    const debug::ValidationReport report = debug::validate(sg);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    // The writer is still usable.
+    sg.apply(ok);
+    EXPECT_EQ(sg.epoch(), 2u);
+  }
+}
+
+TEST(DynamicGraph, FailedGrowthLeavesGraphUnchanged) {
+  DynamicGraph g(3, false);
+  g.insert_edge(0, 2);
+  EXPECT_THROW(g.ensure_vertices(std::numeric_limits<vid_t>::max() / 2),
+               std::length_error);
+  EXPECT_EQ(g.num_vertices(), 3);
+  EXPECT_EQ(debug::Access::flat(g).size(), debug::Access::treaps(g).size());
+  const debug::ValidationReport report = debug::validate(g);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(StreamingGraph, SelfLoopCountsOnce) {

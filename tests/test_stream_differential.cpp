@@ -2,7 +2,9 @@
 // over R-MAT and Erdős–Rényi bases, applied batched-parallel at several
 // thread counts, must produce snapshots byte-identical to serial
 // one-edge-at-a-time application — and every observer must match a
-// from-scratch recomputation after every batch.
+// from-scratch recomputation after every batch.  With eager publication on,
+// every published epoch image (patched from the previous one) must also be
+// byte-identical to a full to_csr() of the live graph.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "snap/debug/validate.hpp"
 #include "snap/ds/union_find.hpp"
 #include "snap/gen/generators.hpp"
 #include "snap/graph/csr_graph.hpp"
@@ -46,6 +49,38 @@ void expect_same_csr(const CSRGraph& a, const CSRGraph& b,
     ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
         << what << " adjacency @" << v;
   }
+}
+
+/// Array-for-array equality of two CSR images: what eager publication must
+/// deliver against a full rebuild.
+void expect_same_image(const CSRGraph& got, const CSRGraph& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.num_vertices(), want.num_vertices()) << what;
+  ASSERT_EQ(got.num_edges(), want.num_edges()) << what;
+  EXPECT_EQ(got.directed(), want.directed()) << what;
+  EXPECT_EQ(got.weighted(), want.weighted()) << what;
+  EXPECT_EQ(got.adjacency_sorted(), want.adjacency_sorted()) << what;
+  EXPECT_TRUE(std::ranges::equal(got.row_offsets(), want.row_offsets()))
+      << what << " offsets";
+  EXPECT_TRUE(std::ranges::equal(got.adjacency(), want.adjacency()))
+      << what << " adj";
+  EXPECT_TRUE(std::ranges::equal(got.arc_weights(), want.arc_weights()))
+      << what << " weights";
+  EXPECT_TRUE(
+      std::ranges::equal(got.arc_edge_id_array(), want.arc_edge_id_array()))
+      << what << " arc ids";
+  EXPECT_TRUE(std::ranges::equal(got.edges(), want.edges()))
+      << what << " edge list";
+  EXPECT_TRUE(debug::same_image(got, want)) << what << " bytes";
+}
+
+/// Eager mode: the pinned snapshot is this epoch's, and equals a full
+/// rebuild from the live graph.
+void expect_published_is_rebuild(const StreamingGraph& sg,
+                                 const std::string& what) {
+  const stream::SnapshotHandle h = sg.pin();
+  ASSERT_EQ(h->epoch(), sg.epoch()) << what;
+  expect_same_image(h->graph(), sg.graph().to_csr(), what);
 }
 
 /// A stream of batches over a biased vertex range, so deletions often hit
@@ -115,6 +150,61 @@ struct ObserverChecks {
   bool check_clustering;  ///< undirected only
 };
 
+/// A stream built to hit every publication case: deletes of live edges
+/// (about one per three inserts), self-loop inserts and deletes, no-op
+/// records (deletes of absent edges, re-inserts, insert-then-delete in one
+/// batch), empty batches, and ids growing past the base's n0 vertices.
+std::vector<std::vector<UpdateRecord>> make_publication_stream(
+    vid_t n0, int num_batches, int batch_size, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<std::vector<UpdateRecord>> batches;
+  std::vector<std::pair<vid_t, vid_t>> live;  // inserted so far, maybe gone
+  std::uint64_t t = 0;
+  for (int b = 0; b < num_batches; ++b) {
+    std::vector<UpdateRecord>& recs = batches.emplace_back();
+    if (b % 5 == 3) continue;  // an empty batch
+    const vid_t hi = n0 + 8 * b;  // grows past n0 batch by batch
+    auto pick = [&](vid_t range) {
+      return static_cast<vid_t>(
+          rng.next_bounded(static_cast<std::uint64_t>(range)));
+    };
+    for (int i = 0; i < batch_size; ++i) {
+      const std::uint64_t roll = rng.next_bounded(100);
+      if (roll < 20 && !live.empty()) {  // delete an edge inserted earlier
+        const auto [u, v] = live[rng.next_bounded(live.size())];
+        recs.push_back({u, v, t++, UpdateKind::kDelete});
+      } else if (roll < 25) {  // delete an edge that is most likely absent
+        recs.push_back({pick(hi), pick(hi), t++, UpdateKind::kDelete});
+      } else if (roll < 30) {  // self loop, deleted again in some batch
+        const vid_t u = pick(hi);
+        recs.push_back({u, u, t++, UpdateKind::kInsert});
+        live.emplace_back(u, u);
+      } else if (roll < 35 && !live.empty()) {  // re-insert: often a no-op
+        const auto [u, v] = live[rng.next_bounded(live.size())];
+        recs.push_back({u, v, t++, UpdateKind::kInsert});
+      } else if (roll < 40) {  // insert then delete within the batch
+        const vid_t u = pick(hi);
+        const vid_t v = pick(hi);
+        recs.push_back({u, v, t++, UpdateKind::kInsert});
+        recs.push_back({v, u, t++, UpdateKind::kDelete});
+      } else {
+        const vid_t u = pick(hi);
+        const vid_t v = pick(hi);
+        recs.push_back({u, v, t++, UpdateKind::kInsert});
+        live.emplace_back(u, v);
+      }
+    }
+  }
+  return batches;
+}
+
+/// How the batched side publishes snapshots.
+enum class Publish {
+  kLazy,        ///< no eager snapshots (pin() rebuilds on demand)
+  kEager,       ///< eager from the first batch
+  kEagerLater,  ///< lazy for the first half of the stream, then eager
+};
+
 /// Drives one full differential run: same base + same stream through the
 /// batched StreamingGraph (at `threads`) and the serial oracle; after every
 /// batch the snapshots must be identical and every observer must agree with
@@ -122,7 +212,7 @@ struct ObserverChecks {
 void run_differential(const CSRGraph& base,
                       const std::vector<std::vector<UpdateRecord>>& batches,
                       int threads, eid_t promote_threshold,
-                      bool check_observers) {
+                      bool check_observers, Publish publish = Publish::kLazy) {
   DynamicGraph dyn =
       DynamicGraph::from_csr(base, promote_threshold);
   StreamingGraph sg(std::move(dyn));
@@ -142,6 +232,12 @@ void run_differential(const CSRGraph& base,
 
   parallel::ThreadScope scope(threads);
   for (std::size_t b = 0; b < batches.size(); ++b) {
+    if ((publish == Publish::kEager && b == 0) ||
+        (publish == Publish::kEagerLater && b == batches.size() / 2)) {
+      sg.set_eager_snapshots(true);
+      expect_published_is_rebuild(sg, "eager switch @batch " +
+                                          std::to_string(b));
+    }
     UpdateBatch batch;
     for (const UpdateRecord& r : batches[b]) {
       if (r.kind == UpdateKind::kInsert)
@@ -159,6 +255,10 @@ void run_differential(const CSRGraph& base,
                      std::to_string(threads))
                         .c_str());
     if (::testing::Test::HasFatalFailure()) return;
+    if (sg.eager_snapshots()) {
+      expect_published_is_rebuild(sg, "published @batch " + std::to_string(b));
+      if (::testing::Test::HasFailure()) return;
+    }
 
     if (!check_observers) continue;
 
@@ -242,6 +342,75 @@ TEST(StreamDifferential, DirectedStream) {
     run_differential(base, batches, t, /*promote_threshold=*/128,
                      /*check_observers=*/true);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(StreamDifferential, ErdosRenyiEagerPublicationAllThreadCounts) {
+  const CSRGraph base = gen::erdos_renyi(400, 1600, /*directed=*/false, 7);
+  const auto batches = make_stream(420, 6, 800, 35, 11);
+  for (int t : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(t));
+    run_differential(base, batches, t, /*promote_threshold=*/128,
+                     /*check_observers=*/true, Publish::kEager);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(StreamDifferential, RmatEagerPublicationAllThreadCounts) {
+  // Batches of 12000 records: enough inserted arcs that the patch's
+  // parallel_sort of row changes takes its sample-sort path.
+  gen::RmatParams p;
+  p.scale = 11;
+  p.edge_factor = 8;
+  p.seed = 13;
+  const CSRGraph base = gen::rmat(p);
+  const auto batches = make_stream(base.num_vertices() + 64, 4, 12000, 25, 31);
+  for (int t : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(t));
+    run_differential(base, batches, t, /*promote_threshold=*/128,
+                     /*check_observers=*/false, Publish::kEager);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+// The publication-case bases hold over 2^15 arcs, so the patch runs its
+// parallel blocks at threads > 1 (smaller images patch on one thread).
+TEST(StreamDifferential, PublicationCasesUndirected) {
+  const CSRGraph base = gen::erdos_renyi(4000, 17000, /*directed=*/false, 5);
+  const auto batches = make_publication_stream(4000, 12, 400, 91);
+  for (const Publish publish : {Publish::kEager, Publish::kEagerLater}) {
+    for (int t : {1, 2, 4, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(t) + " switch mid-stream=" +
+                   std::to_string(publish == Publish::kEagerLater));
+      run_differential(base, batches, t, /*promote_threshold=*/4,
+                       /*check_observers=*/false, publish);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(StreamDifferential, PublicationCasesDirected) {
+  const CSRGraph base = gen::erdos_renyi(4000, 34000, /*directed=*/true, 6);
+  const auto batches = make_publication_stream(4000, 12, 400, 92);
+  for (const Publish publish : {Publish::kEager, Publish::kEagerLater}) {
+    for (int t : {1, 2, 4, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(t) + " switch mid-stream=" +
+                   std::to_string(publish == Publish::kEagerLater));
+      run_differential(base, batches, t, /*promote_threshold=*/4,
+                       /*check_observers=*/false, publish);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(StreamDifferential, EagerPublicationFromEmpty) {
+  const CSRGraph base = CSRGraph::from_edges(0, {}, /*directed=*/false);
+  const auto batches = make_publication_stream(1, 10, 300, 93);
+  for (int t : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(t));
+    run_differential(base, batches, t, /*promote_threshold=*/128,
+                     /*check_observers=*/true, Publish::kEager);
+    if (::testing::Test::HasFailure()) return;
   }
 }
 
