@@ -152,7 +152,10 @@ inline bool has_flag(int argc, char** argv, const std::string& flag) {
 /// that future PRs diff against.  Records carry the bench name, dataset,
 /// free-form string params (graph scale, edge counts, ...), the thread
 /// count, a phase label, and seconds; numeric-looking values are emitted as
-/// JSON numbers.  Serialization rides on snap/util/json — the same
+/// JSON numbers.  Params identify a measurement; any value a run measures
+/// besides seconds and throughput (modularity, a speedup) goes in
+/// `measured`, written as the nested "measured" object, so
+/// tools/bench_compare.py never keys a record on it.  Serialization rides on snap/util/json — the same
 /// escape-correct emitter the analytics service answers queries with — so
 /// bench output stays parseable no matter what a dataset label contains.
 class JsonReport {
@@ -162,10 +165,11 @@ class JsonReport {
       : bench_(std::move(bench)), path_(std::move(path)) {}
 
   using Params = std::vector<std::pair<std::string, std::string>>;
+  using Measured = std::vector<std::pair<std::string, double>>;
 
   void record(const std::string& dataset, const Params& params, int threads,
               const std::string& phase, double seconds,
-              double throughput = 0.0) {
+              double throughput = 0.0, const Measured& measured = {}) {
     if (path_.empty()) return;
     snap::json::Value rec = snap::json::Value::object();
     rec.set("bench", bench_);
@@ -179,6 +183,11 @@ class JsonReport {
         rec.set(k, std::strtod(v.c_str(), nullptr));
       else
         rec.set(k, v);
+    }
+    if (!measured.empty()) {
+      snap::json::Value m = snap::json::Value::object();
+      for (const auto& [k, v] : measured) m.set(k, v);
+      rec.set("measured", std::move(m));
     }
     records_.push_back(std::move(rec));
   }

@@ -122,10 +122,10 @@ int main(int argc, char** argv) {
     }
 
     for (const Row& row : rows) {
-      JsonReport::Params params = base_params;
-      params.emplace_back("modularity", std::to_string(row.q));
-      params.emplace_back("clusters", std::to_string(row.clusters));
-      report.record(inst.name, params, pmax, row.phase, row.seconds);
+      report.record(inst.name, base_params, pmax, row.phase, row.seconds,
+                    0.0,
+                    {{"modularity", row.q},
+                     {"clusters", static_cast<double>(row.clusters)}});
       std::printf("%-18s %8lld %9lld | %-7s %9.4f %8.3f %7lld\n",
                   inst.name.c_str(),
                   static_cast<long long>(inst.g.num_vertices()),

@@ -2,7 +2,7 @@
 //
 // Runs BFS, connected components, sampled betweenness, PageRank (10
 // fixed-point iterations), and (in full mode) Louvain over one corpus
-// instance in up to five memory layouts:
+// instance in up to four memory layouts:
 //
 //   baseline     the graph exactly as generated/loaded
 //   degree       relabel_by_degree pre-pass (hubs first)
@@ -10,11 +10,6 @@
 //   compressed   delta/varint CompressedCSR built over the hub ordering
 //                (BFS and PageRank — the bandwidth-bound kernels the
 //                encoding targets)
-//   partitioned  PartitionedCSR, owner-computes kernels (BFS, CC, degrees,
-//                PageRank with sum-combined boundary exchange; the run also
-//                emits a pagerank-exchange:partitioned record carrying the
-//                per-iteration cross-shard message volume and how much the
-//                combiner cut it vs a naive per-cut-edge push)
 //
 // Every kernel uses the same logical source vertices in every layout (ids
 // mapped through the relabeling permutation), so the numbers isolate the
@@ -27,12 +22,8 @@
 //   --smoke         small built-in instance, 1 rep, no Louvain (CI mode)
 //   --json PATH     write JSON records (phase names "<kernel>:<layout>")
 //   --reps N        timing repetitions, min taken (default 3; smoke: 1)
-//   --partitioner   cut PartitionedCSR with multilevel k-way instead of
-//                   contiguous chunks (slower build, smaller boundary)
-//   --shards K      PartitionedCSR shard count (default max(4, threads))
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -47,7 +38,6 @@
 #include "snap/kernels/bfs.hpp"
 #include "snap/kernels/connected_components.hpp"
 #include "snap/kernels/pagerank.hpp"
-#include "snap/partition/partitioned_csr.hpp"
 #include "snap/util/parallel.hpp"
 #include "snap/util/timer.hpp"
 
@@ -158,24 +148,6 @@ int main(int argc, char** argv) {
               plain_bytes / static_cast<double>(std::max<std::size_t>(
                                 1, compressed.byte_size())));
 
-  snap::PartitionedCSROptions popts;
-  popts.num_shards = std::max(4, threads);
-  if (const std::string s = flag_value(argc, argv, "--shards"); !s.empty())
-    popts.num_shards = std::atoi(s.c_str());
-  popts.use_partitioner = has_flag(argc, argv, "--partitioner");
-  snap::WallTimer t_part;
-  const snap::PartitionedCSR part = snap::PartitionedCSR::build(g, popts);
-  const double s_part = t_part.elapsed_s();
-  rec("prepass:partitioned", s_part);
-  std::printf("partitioned: %d shards, boundary arcs %lld / %lld (%.1f%%), "
-              "build %.2fs\n",
-              part.num_shards(),
-              static_cast<long long>(part.boundary_arcs()),
-              static_cast<long long>(part.num_arcs()),
-              100.0 * static_cast<double>(part.boundary_arcs()) /
-                  static_cast<double>(std::max<snap::eid_t>(1, part.num_arcs())),
-              s_part);
-
   const std::vector<Layout> layouts = {
       {"baseline", &g, nullptr},
       {"degree", &by_degree.graph, &by_degree.old_to_new},
@@ -242,61 +214,11 @@ int main(int argc, char** argv) {
     rec("pagerank:compressed", times["pagerank:compressed"]);
   }
 
-  // --- Partitioned (owner-computes BFS / CC / degrees) -------------------
-  times["bfs:partitioned"] = time_best(reps, sink, [&] {
-    return static_cast<double>(part.bfs_distances(bfs_src)[0]);
-  });
-  rec("bfs:partitioned", times["bfs:partitioned"]);
-  times["cc:partitioned"] = time_best(reps, sink, [&] {
-    return static_cast<double>(part.components().count);
-  });
-  rec("cc:partitioned", times["cc:partitioned"]);
-  times["degree:partitioned"] = time_best(reps, sink, [&] {
-    return static_cast<double>(part.degrees()[0]);
-  });
-  rec("degree:partitioned", times["degree:partitioned"]);
-
-  snap::PartitionedPageRank ppr;
-  times["pagerank:partitioned"] = time_best(reps, sink, [&] {
-    ppr = part.pagerank(prp);
-    return ppr.result.rank[0];
-  });
-  rec("pagerank:partitioned", times["pagerank:partitioned"]);
-
-  // Cross-shard traffic of the owner-computes PageRank.  The counters are
-  // deterministic (a pure function of graph and cut), recorded with
-  // seconds = 0 so bench_compare archives them without time-gating:
-  // messages_per_iter is what actually crossed shard boundaries,
-  // naive_per_iter is what a per-cut-edge push would have sent.
-  {
-    const auto iters = static_cast<std::uint64_t>(
-        std::max(1, ppr.result.iterations));
-    const std::uint64_t per_iter = ppr.boundary_messages / iters;
-    const std::uint64_t naive_per_iter =
-        (ppr.boundary_messages + ppr.combined_messages) / iters;
-    JsonReport::Params msg_params = params;
-    msg_params.emplace_back("shards", std::to_string(part.num_shards()));
-    msg_params.emplace_back("messages_per_iter", std::to_string(per_iter));
-    msg_params.emplace_back("naive_per_iter", std::to_string(naive_per_iter));
-    msg_params.emplace_back("combined_total",
-                            std::to_string(ppr.combined_messages));
-    report.record(dataset, msg_params, threads,
-                  "pagerank-exchange:partitioned", 0.0);
-    std::printf("pagerank exchange: %llu msgs/iter combined vs %llu naive "
-                "(%.2fx reduction, boundary arcs %lld)\n",
-                static_cast<unsigned long long>(per_iter),
-                static_cast<unsigned long long>(naive_per_iter),
-                per_iter > 0 ? static_cast<double>(naive_per_iter) /
-                                   static_cast<double>(per_iter)
-                             : 1.0,
-                static_cast<long long>(part.boundary_arcs()));
-  }
-
   // --- Speedup table vs baseline ----------------------------------------
   std::printf("\n%-10s %-12s %10s %10s\n", "kernel", "layout", "seconds",
               "speedup");
   const std::vector<std::string> kernels = {"bfs", "cc", "bc", "pagerank",
-                                            "louvain", "degree"};
+                                            "louvain"};
   for (const std::string& k : kernels) {
     const auto base = times.find(k + ":baseline");
     for (const auto& [key, sec] : times) {

@@ -184,10 +184,9 @@ int main(int argc, char** argv) {
                 batch_sizes.back(), top_threads, speedup);
     report.record(dataset,
                   {{"mode", mode.label},
-                   {"batch_size", std::to_string(batch_sizes.back())},
-                   {"speedup", std::to_string(speedup)}},
+                   {"batch_size", std::to_string(batch_sizes.back())}},
                   top_threads, "speedup", top_batched_s,
-                  ups(recs.size(), top_batched_s));
+                  ups(recs.size(), top_batched_s), {{"speedup", speedup}});
   }
 
   report.write();

@@ -14,12 +14,7 @@ namespace snap {
 /// serial reference otherwise; the explicit values exist for the
 /// differential tests, which require every path to produce bitwise
 /// identical hierarchies (same semantics, independent orchestration).
-/// `kSharded` runs the owner-computes move phase: contiguous vertex shards
-/// evaluate their bucket members against per-shard replicas of the frozen
-/// (labels, volume) state, broadcast accepted moves through the boundary
-/// exchange layer between sub-rounds, and apply them in ascending vertex
-/// order — the same sequence as the flat engines, hence the same bits.
-enum class LouvainPath { kAuto, kSerial, kParallel, kSharded };
+enum class LouvainPath { kAuto, kSerial, kParallel };
 
 /// Parameters of the multilevel Louvain engine.
 struct LouvainParams {
@@ -40,9 +35,6 @@ struct LouvainParams {
   int num_buckets = 8;
   /// Stop coarsening when a level improves modularity by less than this.
   double min_level_gain = 1e-6;
-  /// Shard count for LouvainPath::kSharded; 0 = parallel::num_threads().
-  /// Ignored by the other paths.
-  int num_shards = 0;
   /// After the hierarchy converges, run extra local-move sweeps on the
   /// *original* graph seeded with the final flat membership (the standard
   /// refinement pass: it can split badly-placed vertices back out of

@@ -25,7 +25,6 @@ class DynamicGraph;
 class UnionFind;
 class MergeDendrogram;
 class LouvainLevel;
-struct ExchangeLedger;
 
 namespace stream {
 class StreamingGraph;
@@ -85,19 +84,6 @@ struct Access {
   // LouvainLevel
   static std::vector<vid_t>& mutable_louvain_membership(LouvainLevel& lvl);
   static std::vector<double>& mutable_louvain_volume(LouvainLevel& lvl);
-
-  // Exchange<Msg> (snap/partition/exchange.hpp).  Templated and inline:
-  // Exchange is a class template, so the usual out-of-line accessor per
-  // concrete type cannot work.  The mutation tests use these to corrupt a
-  // channel or its ledger and prove the exchange validator catches it.
-  template <typename Exchange>
-  static ExchangeLedger& mutable_exchange_ledger(Exchange& ex) {
-    return ex.ledger_;
-  }
-  template <typename Exchange>
-  static auto& mutable_exchange_channel(Exchange& ex, int src, int dst) {
-    return ex.box_[ex.channel_index(src, dst)];
-  }
 };
 
 /// CSR arrays: monotone offsets covering the adjacency exactly, in-range

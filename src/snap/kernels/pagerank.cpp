@@ -31,10 +31,6 @@ bool use_parallel_path(const PageRankParams& params, vid_t n) {
   }
 }
 
-}  // namespace
-
-namespace pagerank_detail {
-
 std::uint64_t quantized_damping(double damping) {
   SNAP_ASSERT(damping >= 0.0 && damping < 1.0, "pagerank: damping ", damping,
               " must be in [0, 1)");
@@ -55,6 +51,7 @@ std::uint64_t residual_threshold(double tol) {
   return static_cast<std::uint64_t>(scaled);
 }
 
+/// mass[v] = T/n plus one extra unit for v < T mod n (exactly T in total).
 void init_mass(std::vector<std::uint64_t>& mass, vid_t n) {
   const std::uint64_t share = kTotalMass / static_cast<std::uint64_t>(n);
   const std::uint64_t rem = kTotalMass % static_cast<std::uint64_t>(n);
@@ -77,21 +74,11 @@ PageRankResult finalize(std::vector<std::uint64_t> mass, int iterations,
   return out;
 }
 
-}  // namespace pagerank_detail
-
-namespace {
-
-using pagerank_detail::damp;
-using pagerank_detail::finalize;
-using pagerank_detail::init_mass;
-using pagerank_detail::quantized_damping;
-using pagerank_detail::residual_threshold;
-
 /// The engine, generic over the adjacency read path: `deg(v)` is the stored
 /// arc count and `row_sum(v, contrib)` returns the exact integer sum of
 /// contrib over v's neighbors.  Every reduction is an integer sum, so the
-/// serial and parallel paths — and any regrouping a caller's layout implies
-/// — are bitwise identical by construction (exact ordered reduction).
+/// serial and parallel paths are bitwise identical by construction (exact
+/// ordered reduction).
 template <typename DegFn, typename RowSumFn>
 PageRankResult run_flat(vid_t n, const PageRankParams& params, DegFn&& deg,
                         RowSumFn&& row_sum) {

@@ -9,17 +9,14 @@
 // every accumulation in the engine is an exact integer add — associative
 // and commutative.  That one choice buys the whole determinism story:
 //
-//   * the parallel flat path reduces per-thread partials in any order and
-//     still matches the serial oracle bitwise;
-//   * the owner-computes partitioned engine can SUM-COMBINE boundary mass
-//     pushes per destination vertex (O(cut edges) -> O(boundary vertices)
-//     traffic) and still match the flat engine bitwise at every
-//     (threads x shards) combination, because regrouping exact adds is
-//     invisible.
+//   * the parallel path reduces per-thread partials in any grouping and
+//     still matches the serial oracle bitwise at every thread count;
+//   * the compressed path decodes each row and sums the same integers, so
+//     it matches the flat paths bitwise too.
 //
-// With IEEE doubles none of that holds — float addition does not
-// associate, so any combiner or shard-count change would perturb the last
-// bits.  See docs/ALGORITHMS.md "PageRank & the exchange layer".
+// With IEEE doubles neither holds — float addition does not associate, so
+// a change of thread count or reduction grouping would perturb the last
+// bits.  See docs/ALGORITHMS.md "Fixed-point PageRank".
 //
 // Spec (one iteration over n vertices, total mass T = 2^60, quantized
 // damping D = d_num / 2^30):
@@ -32,8 +29,7 @@
 //
 // Total mass is exactly T after every iteration; the residual is the exact
 // integer L1 distance |next - mass|.  Graphs are treated as unweighted
-// (degree = stored arc count) and must be undirected, the same contract as
-// every other shard-parallel kernel.
+// (degree = stored arc count) and must be undirected.
 
 #include <cstdint>
 #include <vector>
@@ -91,23 +87,5 @@ struct PageRankResult {
 /// pagerank() on the source graph.
 [[nodiscard]] PageRankResult pagerank_compressed(
     const CompressedCSR& g, const PageRankParams& params = {});
-
-namespace pagerank_detail {
-
-// The arithmetic spec shared by the flat engines above and the partitioned
-// owner-computes engine (PartitionedCSR::pagerank): both call exactly these
-// helpers, so there is one definition of the damping quantization, the
-// 128-bit damp product, the initial mass split and the result conversion —
-// the differential suite then compares orchestration, not arithmetic.
-
-[[nodiscard]] std::uint64_t quantized_damping(double damping);
-[[nodiscard]] std::uint64_t damp(std::uint64_t inflow, std::uint64_t d_num);
-[[nodiscard]] std::uint64_t residual_threshold(double tol);
-/// mass[v] = T/n plus one extra unit for v < T mod n (exactly T in total).
-void init_mass(std::vector<std::uint64_t>& mass, vid_t n);
-[[nodiscard]] PageRankResult finalize(std::vector<std::uint64_t> mass,
-                                      int iterations, std::uint64_t residual);
-
-}  // namespace pagerank_detail
 
 }  // namespace snap

@@ -134,6 +134,7 @@ HttpResponse GraphService::handle_ingest(const HttpRequest& request) {
     return error_response(400, "body must be {\"updates\": [...]}");
 
   stream::UpdateBatch batch;
+  vid_t max_id = -1;
   for (std::size_t i = 0; i < updates->size(); ++i) {
     const Value& rec = (*updates)[i];
     if (!rec.is_object())
@@ -153,6 +154,7 @@ HttpResponse GraphService::handle_ingest(const HttpRequest& request) {
     if (uu < 0 || vv < 0)
       return error_response(400, "updates[" + std::to_string(i) +
                                      "] has a negative vertex id");
+    max_id = std::max({max_id, uu, vv});
     const auto time =
         static_cast<std::uint64_t>(rec.get("time").as_int64(0));
     if (op == "insert")
@@ -168,6 +170,14 @@ HttpResponse GraphService::handle_ingest(const HttpRequest& request) {
   std::uint64_t epoch = 0;
   {
     sync::MutexLock lk(write_mu_);
+    // The writer grows to max_id + 1 vertices; bound that growth before
+    // apply() allocates it, so a far id is refused with the graph intact.
+    const vid_t n = sg_.graph().num_vertices();
+    if (max_id - n >= kMaxVertexGrowth)
+      return error_response(413, "vertex id " + std::to_string(max_id) +
+                                     " would grow the graph past " +
+                                     std::to_string(n) + " + " +
+                                     std::to_string(kMaxVertexGrowth));
     stats = sg_.apply(batch);
     epoch = sg_.epoch();
   }

@@ -10,6 +10,12 @@
 
 namespace snap::server {
 
+/// Largest number of vertices one /ingest batch may add: a batch whose
+/// largest id is >= num_vertices() + kMaxVertexGrowth is refused with 413
+/// before it allocates anything.  2^22 is the largest standard corpus
+/// instance (R-MAT scale 22).
+inline constexpr vid_t kMaxVertexGrowth = vid_t{1} << 22;
+
 /// The graph analytics service: a JSON-over-HTTP handler that owns one
 /// StreamingGraph in eager-snapshot mode and answers every query from a
 /// pinned epoch snapshot (snapshot isolation — see docs/SERVICE.md).
@@ -38,9 +44,10 @@ namespace snap::server {
 class GraphService final : public HttpHandler {
  public:
   /// Service over an initially empty graph on `num_vertices` vertices
-  /// (ingest grows it when updates reference larger ids).  The community
-  /// and clustering endpoints require an undirected graph; a directed
-  /// service still serves the structural endpoints.
+  /// (ingest grows it when updates reference larger ids, by fewer than
+  /// kMaxVertexGrowth vertices per batch).  The community and clustering
+  /// endpoints require an undirected graph; a directed service still serves
+  /// the structural endpoints.
   explicit GraphService(vid_t num_vertices, bool directed = false);
 
   HttpResponse handle(const HttpRequest& request) override;

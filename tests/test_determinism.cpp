@@ -20,7 +20,6 @@
 #include "snap/graph/csr_graph.hpp"
 #include "snap/graph/dynamic_graph.hpp"
 #include "snap/graph/reorder.hpp"
-#include "snap/partition/partitioned_csr.hpp"
 #include "snap/kernels/bfs.hpp"
 #include "snap/kernels/connected_components.hpp"
 #include "snap/kernels/kcore.hpp"
@@ -367,32 +366,6 @@ TEST(Determinism, CompressedCsrEncodeBytes) {
   ASSERT_TRUE(report.deterministic) << report.to_string();
 }
 
-TEST(Determinism, PartitionedCsrBuildAndKernels) {
-  // Pinned to the contiguous cut (use_partitioner = false): the multilevel
-  // partitioner's cross-thread invariance is not yet a stated guarantee, the
-  // sharded layout and owner-computes kernels' is.  Shard count is pinned
-  // too — the layout is k-dependent by design.
-  const CSRGraph g = rmat_graph(12, 8, 37);
-  PartitionedCSROptions opts;
-  opts.num_shards = 4;
-  opts.use_partitioner = false;
-  const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
-    const PartitionedCSR p = PartitionedCSR::build(g, opts);
-    h.value(p.boundary_arcs());
-    h.sequence(p.new_to_old());
-    for (int s = 0; s < p.num_shards(); ++s) {
-      h.sequence(p.shard(s).offsets);
-      h.sequence(p.shard(s).adj);
-    }
-    h.sequence(p.bfs_distances(0));
-    const Components c = p.components();
-    h.value(c.count);
-    h.sequence(canonical_labels(c.label));
-    h.sequence(p.degrees());
-  });
-  ASSERT_TRUE(report.deterministic) << report.to_string();
-}
-
 // --------------------------------------------------------------- pagerank
 
 TEST(Determinism, PageRankMass) {
@@ -408,53 +381,6 @@ TEST(Determinism, PageRankMass) {
     h.sequence(r.rank);
     h.value(r.iterations);
     h.value(r.residual);
-  });
-  ASSERT_TRUE(report.deterministic) << report.to_string();
-}
-
-TEST(Determinism, PartitionedPageRankMassAndTraffic) {
-  // Shard count pinned (the exchange traffic is k-dependent by design);
-  // thread count sweeps.  The message counters are part of the hash — the
-  // combiner's merge pattern is a pure function of (graph, cut), not of the
-  // schedule.
-  const CSRGraph g = rmat_graph(12, 8, 37);
-  PartitionedCSROptions opts;
-  opts.num_shards = 4;
-  opts.use_partitioner = false;
-  const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
-    const PartitionedCSR p = PartitionedCSR::build(g, opts);
-    const PartitionedPageRank pr = p.pagerank();
-    h.sequence(pr.result.mass);
-    h.value(pr.result.iterations);
-    h.value(pr.result.residual);
-    h.value(pr.boundary_messages);
-    h.value(pr.combined_messages);
-  });
-  ASSERT_TRUE(report.deterministic) << report.to_string();
-}
-
-TEST(Determinism, LouvainShardedHierarchy) {
-  // The sharded move phase with a pinned shard count must be thread-count
-  // invariant (shards multiplex onto whatever team runs); hash the level-0
-  // membership and the full hierarchy surface like the flat entry.
-  const CSRGraph g =
-      gen::planted_partition(3000, 12, /*deg_in=*/10.0, /*deg_out=*/2.0, 77);
-  LouvainParams params;
-  params.path = LouvainPath::kSharded;
-  params.num_shards = 4;
-  const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
-    const LouvainResult r = louvain(g, params);
-    ASSERT_FALSE(r.levels.empty());
-    h.sequence(r.levels[0].membership());
-    h.sequence(r.community.clustering.membership);
-    h.value(r.community.modularity);
-    h.value(r.community.iterations);
-    h.value(r.refine_moves);
-    for (const LouvainLevel& lvl : r.levels) {
-      h.sequence(lvl.membership());
-      h.sequence(lvl.community_volume());
-      h.value(lvl.moves());
-    }
   });
   ASSERT_TRUE(report.deterministic) << report.to_string();
 }

@@ -168,36 +168,6 @@ TEST_P(LouvainDifferential, PlpParallelMatchesSerial) {
   }
 }
 
-TEST_P(LouvainDifferential, ShardedMatchesSerialOracleAtEveryShardCount) {
-  parallel::ThreadScope scope(GetParam());
-  for (const auto& [name, g] : instances()) {
-    LouvainParams serial;
-    serial.path = LouvainPath::kSerial;
-    const LouvainResult oracle = louvain(g, serial);
-    for (const int k : {1, 2, 4, 7}) {
-      LouvainParams sharded = serial;
-      sharded.path = LouvainPath::kSharded;
-      sharded.num_shards = k;
-      expect_identical_hierarchies(louvain(g, sharded), oracle,
-                                   name + " shards=" + std::to_string(k));
-    }
-  }
-}
-
-TEST_P(LouvainDifferential, ShardedDefaultShardCountMatchesSerial) {
-  // num_shards = 0 derives the shard count from the thread pool — the
-  // hierarchy must still be the oracle's whatever that resolves to.
-  parallel::ThreadScope scope(GetParam());
-  for (const auto& [name, g] : instances()) {
-    LouvainParams serial;
-    serial.path = LouvainPath::kSerial;
-    LouvainParams sharded = serial;
-    sharded.path = LouvainPath::kSharded;
-    expect_identical_hierarchies(louvain(g, sharded), louvain(g, serial),
-                                 name);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Threads, LouvainDifferential,
                          ::testing::Values(1, 2, 4, 8));
 

@@ -1,11 +1,9 @@
 // PageRank differential suite.  The engines compute in 64-bit fixed-point
 // mass (total 2^60) where every reduction is an exact integer sum, so ALL
-// paths — serial oracle, ordered-reduction parallel, compressed-CSR, and
-// owner-computes partitioned with boundary sum-combining — must agree
-// BITWISE on the mass vector at every thread count and shard count.  The
-// suite sweeps the generator zoo x ThreadScope {1,2,4,8} x shards
-// {1,2,4,7}, plus sanity checks against closed-form stationary
-// distributions (cycle, complete, star) and the exchange-traffic counters.
+// paths — serial oracle, ordered-reduction parallel and compressed-CSR —
+// must agree BITWISE on the mass vector at every thread count.  The suite
+// sweeps the generator zoo x ThreadScope {1,2,4,8}, plus sanity checks
+// against closed-form stationary distributions (cycle, complete, star).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,7 +16,6 @@
 #include "snap/gen/generators.hpp"
 #include "snap/graph/compressed_csr.hpp"
 #include "snap/kernels/pagerank.hpp"
-#include "snap/partition/partitioned_csr.hpp"
 #include "snap/util/parallel.hpp"
 
 namespace snap {
@@ -116,74 +113,6 @@ TEST(PageRank, CompressedMatchesFlatBitwise) {
                        name + " threads=" + std::to_string(nt));
     }
   }
-}
-
-class PageRankPartitioned : public ::testing::TestWithParam<int> {};
-
-TEST_P(PageRankPartitioned, MatchesFlatBitwiseAtEveryShardCount) {
-  parallel::ThreadScope scope(GetParam());
-  for (const auto& [name, g] : instances()) {
-    PageRankParams ps;
-    ps.path = PageRankPath::kSerial;
-    const PageRankResult oracle = pagerank(g, ps);
-    for (const int k : {1, 2, 4, 7}) {
-      PartitionedCSROptions opts;
-      opts.num_shards = k;
-      opts.use_partitioner = false;
-      const PartitionedCSR part = PartitionedCSR::build(g, opts);
-      const PartitionedPageRank pr = part.pagerank();
-      expect_identical(pr.result, oracle,
-                       name + " shards=" + std::to_string(k));
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, PageRankPartitioned,
-                         ::testing::Values(1, 2, 4, 8));
-
-TEST(PageRankPartitionedSuite, MultilevelCutAlsoMatchesFlat) {
-  // The bitwise claim must hold for ANY vertex-disjoint cut, not just the
-  // contiguous chunking the sweep above pins — exercise the real partitioner.
-  const CSRGraph g = rmat_graph(9, 6, 21);
-  const PageRankResult oracle = pagerank(g);
-  PartitionedCSROptions opts;
-  opts.num_shards = 4;
-  opts.use_partitioner = true;
-  const PartitionedCSR part = PartitionedCSR::build(g, opts);
-  expect_identical(part.pagerank().result, oracle, "multilevel cut");
-}
-
-TEST(PageRankPartitionedSuite, CombinerReducesBoundaryTraffic) {
-  // On a connected small-world cut, many cut edges share a boundary target:
-  // the combiner must merge a nonzero number of per-edge pushes, and
-  // staged messages per iteration can never exceed the naive per-edge count.
-  const CSRGraph g = rmat_graph(9, 8, 5);
-  PartitionedCSROptions opts;
-  opts.num_shards = 4;
-  opts.use_partitioner = false;
-  const PartitionedCSR part = PartitionedCSR::build(g, opts);
-  ASSERT_GT(part.boundary_arcs(), 0);
-  PageRankParams p;
-  p.max_iters = 5;
-  p.tol = 0.0;
-  const PartitionedPageRank pr = part.pagerank(p);
-  EXPECT_GT(pr.boundary_messages, 0u);
-  EXPECT_GT(pr.combined_messages, 0u);
-  // naive pushes = messages actually staged + pushes merged away.
-  const std::uint64_t naive = pr.boundary_messages + pr.combined_messages;
-  EXPECT_LT(pr.boundary_messages, naive);
-}
-
-TEST(PageRankPartitionedSuite, SingleShardHasNoBoundaryTraffic) {
-  const CSRGraph g = rmat_graph(7, 5, 9);
-  PartitionedCSROptions opts;
-  opts.num_shards = 1;
-  opts.use_partitioner = false;
-  const PartitionedCSR part = PartitionedCSR::build(g, opts);
-  const PartitionedPageRank pr = part.pagerank();
-  EXPECT_EQ(pr.boundary_messages, 0u);
-  EXPECT_EQ(pr.combined_messages, 0u);
-  expect_identical(pr.result, pagerank(g), "k=1");
 }
 
 }  // namespace

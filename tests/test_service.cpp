@@ -381,6 +381,15 @@ TEST_F(ServiceTest, ErrorPaths) {
        "{\"updates\":[{\"op\":\"insert\",\"u\":0,"
        "\"v\":9223372036854775807}]}",
        400},
+      // Ids that fit int64 but would grow the graph by kMaxVertexGrowth or
+      // more are refused before anything is allocated.
+      {"POST", "/ingest",
+       "{\"updates\":[{\"op\":\"insert\",\"u\":0,"
+       "\"v\":9223372036854774784}]}",
+       413},
+      {"POST", "/ingest",
+       "{\"updates\":[{\"op\":\"insert\",\"u\":1000000000,\"v\":1}]}",
+       413},
       {"GET", "/community?algo=sorcery", "", 400},
       {"GET", "/bc-topk?k=0", "", 400},
       {"GET", "/bc-topk?k=frog", "", 400},
@@ -398,6 +407,12 @@ TEST_F(ServiceTest, ErrorPaths) {
         << c.target << " body: " << r.body;
     EXPECT_TRUE(doc.get("error").is_string()) << c.target;
   }
+  // No rejected request moved the epoch or grew the graph.
+  Value stats;
+  ASSERT_TRUE(snap::json::parse(get("/stats").body, &stats, nullptr));
+  EXPECT_EQ(stats.get("epoch").as_int64(), 1);
+  EXPECT_EQ(stats.get("num_vertices").as_int64(),
+            offline_graph().num_vertices());
 }
 
 TEST_F(ServiceTest, KeepAliveServesManyRequestsOnOneConnection) {
