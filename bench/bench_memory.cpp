@@ -2,14 +2,11 @@
 //
 // Runs BFS, connected components, sampled betweenness, PageRank (10
 // fixed-point iterations), and (in full mode) Louvain over one corpus
-// instance in up to four memory layouts:
+// instance in three memory layouts (vertex orderings of the flat CSR):
 //
 //   baseline     the graph exactly as generated/loaded
 //   degree       relabel_by_degree pre-pass (hubs first)
 //   hub          relabel_by_hub_cluster pre-pass (hub block + BFS tail)
-//   compressed   delta/varint CompressedCSR built over the hub ordering
-//                (BFS and PageRank — the bandwidth-bound kernels the
-//                encoding targets)
 //
 // Every kernel uses the same logical source vertices in every layout (ids
 // mapped through the relabeling permutation), so the numbers isolate the
@@ -33,7 +30,6 @@
 #include "corpus.hpp"
 #include "snap/centrality/betweenness.hpp"
 #include "snap/community/louvain.hpp"
-#include "snap/graph/compressed_csr.hpp"
 #include "snap/graph/reorder.hpp"
 #include "snap/kernels/bfs.hpp"
 #include "snap/kernels/connected_components.hpp"
@@ -133,20 +129,7 @@ int main(int argc, char** argv) {
   const double s_hub = t_hub.elapsed_s();
   rec("prepass:hub", s_hub);
 
-  snap::WallTimer t_comp;
-  const snap::CompressedCSR compressed =
-      snap::CompressedCSR::from_graph(by_hub.graph);
-  const double s_comp = t_comp.elapsed_s();
-  rec("prepass:compressed", s_comp);
-  const double plain_bytes =
-      static_cast<double>(g.num_arcs()) * sizeof(vid_t);
-  std::printf("pre-pass: degree %.2fs, hub %.2fs, compress %.2fs "
-              "(%.2f bytes/arc, %.1fx smaller)\n",
-              s_deg, s_hub, s_comp,
-              static_cast<double>(compressed.byte_size()) /
-                  static_cast<double>(std::max<snap::eid_t>(1, g.num_arcs())),
-              plain_bytes / static_cast<double>(std::max<std::size_t>(
-                                1, compressed.byte_size())));
+  std::printf("pre-pass: degree %.2fs, hub %.2fs\n", s_deg, s_hub);
 
   const std::vector<Layout> layouts = {
       {"baseline", &g, nullptr},
@@ -160,7 +143,7 @@ int main(int argc, char** argv) {
   prp.max_iters = 10;
   prp.tol = 0.0;
 
-  // --- Kernels over the flat layouts ------------------------------------
+  // --- Kernels over each layout ----------------------------------------
   std::map<std::string, double> times;  // "<kernel>:<layout>" -> seconds
   for (const Layout& l : layouts) {
     const CSRGraph& lg = *l.graph;
@@ -197,21 +180,6 @@ int main(int argc, char** argv) {
       });
       rec("louvain:" + l.name, times["louvain:" + l.name]);
     }
-  }
-
-  // --- Compressed (BFS: the bandwidth-bound kernel) ----------------------
-  {
-    const vid_t src = mapped(layouts[2], bfs_src);
-    times["bfs:compressed"] = time_best(reps, sink, [&] {
-      return static_cast<double>(
-          snap::bfs_compressed(compressed, src).num_visited);
-    });
-    rec("bfs:compressed", times["bfs:compressed"]);
-
-    times["pagerank:compressed"] = time_best(reps, sink, [&] {
-      return snap::pagerank_compressed(compressed, prp).rank[0];
-    });
-    rec("pagerank:compressed", times["pagerank:compressed"]);
   }
 
   // --- Speedup table vs baseline ----------------------------------------

@@ -135,8 +135,8 @@ class CSRGraph {
   [[nodiscard]] const EdgeList& edges() const { return edge_endpoints_; }
 
   /// Read-only views of the flat CSR arrays, for consumers that stream the
-  /// whole image (binary snapshots, the compressed representation) rather
-  /// than walking per-vertex spans.
+  /// whole image (binary snapshots, image-size accounting) rather than
+  /// walking per-vertex spans.
   [[nodiscard]] std::span<const eid_t> row_offsets() const {
     return offsets_;
   }

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "snap/util/parallel.hpp"
+
 namespace snap::io {
 
 namespace {
@@ -84,6 +86,19 @@ void read_all(std::ifstream& in, void* data, std::size_t len,
   if (!in) fail("truncated file", path);
 }
 
+/// One unsigned compare catches negative ids as well as ids >= bound.
+bool outside(std::int64_t x, std::size_t bound) {
+  return static_cast<std::uint64_t>(x) >= bound;
+}
+
+bool any_outside(const std::vector<std::int64_t>& a, std::size_t bound) {
+  return parallel::parallel_reduce_sum<std::size_t>(
+             static_cast<std::int64_t>(a.size()), [&](std::int64_t i) {
+               return static_cast<std::size_t>(
+                   outside(a[static_cast<std::size_t>(i)], bound));
+             }) != 0;
+}
+
 CSRGraph read_binary_v1(std::ifstream& in, const HeaderV1& h,
                         const std::string& path) {
   if (h.n < 0 || h.m < 0) fail("bad header (negative n or m)", path);
@@ -124,6 +139,7 @@ CSRGraph read_binary_v2(std::ifstream& in, const HeaderV2& h,
     sum.update(data, len);
     payload += len;
   };
+  bool bad_endpoint = false;
 
   consume(offsets.data(), offsets.size() * sizeof(eid_t));
   consume(adj.data(), adj.size() * sizeof(vid_t));
@@ -133,14 +149,18 @@ CSRGraph read_binary_v2(std::ifstream& in, const HeaderV2& h,
     consume(weights.data(), weights.size() * sizeof(weight_t));
     std::vector<RawEdge> raw(m);
     consume(raw.data(), raw.size() * sizeof(RawEdge));
-    for (std::size_t e = 0; e < m; ++e)
+    for (std::size_t e = 0; e < m; ++e) {
       edges[e] = Edge{raw[e].u, raw[e].v, raw[e].w};
+      bad_endpoint |= outside(raw[e].u, n) | outside(raw[e].v, n);
+    }
   } else {
     weights.assign(arcs, 1.0);
     std::vector<std::int64_t> raw(2 * m);
     consume(raw.data(), raw.size() * sizeof(std::int64_t));
-    for (std::size_t e = 0; e < m; ++e)
+    for (std::size_t e = 0; e < m; ++e) {
       edges[e] = Edge{raw[2 * e], raw[2 * e + 1], 1.0};
+      bad_endpoint |= outside(raw[2 * e], n) | outside(raw[2 * e + 1], n);
+    }
   }
 
   if (payload != h.payload_bytes)
@@ -151,10 +171,20 @@ CSRGraph read_binary_v2(std::ifstream& in, const HeaderV2& h,
   if (sum.hash() != h.checksum)
     fail("FNV-1a checksum mismatch (file corrupt)", path);
 
-  // Offsets must cover the arrays before from_parts indexes through them.
+  // A matching checksum proves the bytes intact, not that they form a
+  // graph: kernels index through these arrays unchecked, so every range is
+  // checked here.  Monotone offsets from 0 to arcs keep every row in bounds.
   if (offsets.front() != 0 ||
       offsets.back() != static_cast<eid_t>(arcs))
     fail("offsets array does not cover the adjacency", path);
+  if (parallel::parallel_reduce_sum<std::size_t>(h.n, [&](std::int64_t v) {
+        const auto sv = static_cast<std::size_t>(v);
+        return static_cast<std::size_t>(offsets[sv] > offsets[sv + 1]);
+      }) != 0)
+    fail("offsets decrease", path);
+  if (any_outside(adj, n)) fail("neighbor id outside [0, n)", path);
+  if (any_outside(arc_edge_ids, m)) fail("arc edge id outside [0, m)", path);
+  if (bad_endpoint) fail("edge endpoint outside [0, n)", path);
 
   return CSRGraph::from_parts(h.n, h.m, directed, weighted, sorted,
                               std::move(offsets), std::move(adj),

@@ -12,6 +12,28 @@ std::int64_t depth_limit(const HybridBFSOptions& o) {
                          : o.max_depth;
 }
 
+enum class Switch { kNone, kToPull, kToPush };
+
+/// Per-level direction decision (Beamer alpha/beta), shared by the parallel
+/// and serial engines: flip to pull when the frontier's arcs dominate what
+/// is left to explore, back to push once the frontier is both shrinking and
+/// small.  Pull reads a vertex's own adjacency as its *in*-edges, which is
+/// only valid when the graph is symmetric.
+Switch direction_switch(const CSRGraph& g, const HybridBFSOptions& opts,
+                        const Frontier& cur, eid_t unexplored,
+                        vid_t prev_size) {
+  const bool allow_pull = opts.enable_pull && !g.directed();
+  if (!cur.dense() && allow_pull && cur.arcs() > opts.min_pull_arcs &&
+      static_cast<double>(cur.arcs()) * opts.alpha >
+          static_cast<double>(unexplored))
+    return Switch::kToPull;
+  if (cur.dense() && cur.size() < prev_size &&
+      static_cast<double>(cur.size()) * opts.beta <
+          static_cast<double>(g.num_vertices()))
+    return Switch::kToPush;
+  return Switch::kNone;
+}
+
 }  // namespace
 
 BFSResult BfsEngine::run(const CSRGraph& g, vid_t source,
@@ -27,9 +49,6 @@ BFSResult BfsEngine::run(const CSRGraph& g, vid_t source,
   r.dist[static_cast<std::size_t>(source)] = 0;
   r.num_visited = 1;
 
-  // Pull reads a vertex's own adjacency as its *in*-edges, which is only
-  // valid when the graph is symmetric.
-  const bool allow_pull = opts.enable_pull && !g.directed();
   const std::int64_t max_depth = depth_limit(opts);
 
   visited_.resize(static_cast<std::size_t>(n));
@@ -43,16 +62,10 @@ BFSResult BfsEngine::run(const CSRGraph& g, vid_t source,
 
   while (!cur_.empty() && level < max_depth) {
     ++level;
-    // Per-level direction decision (Beamer alpha/beta): flip to pull when
-    // the frontier's arcs dominate what is left to explore, back to push
-    // once the frontier is both shrinking and small.
-    if (!cur_.dense() && allow_pull && cur_.arcs() > opts.min_pull_arcs &&
-        static_cast<double>(cur_.arcs()) * opts.alpha >
-            static_cast<double>(unexplored)) {
+    const Switch sw = direction_switch(g, opts, cur_, unexplored, prev_size);
+    if (sw == Switch::kToPull) {
       cur_.to_dense();
-    } else if (cur_.dense() && cur_.size() < prev_size &&
-               static_cast<double>(cur_.size()) * opts.beta <
-                   static_cast<double>(n)) {
+    } else if (sw == Switch::kToPush) {
       cur_.to_sparse(g, r.dist, level - 1, pool_);
     }
     const vid_t fsize = cur_.size();
@@ -138,7 +151,6 @@ void BfsEngine::run_serial_into(const CSRGraph& g, vid_t source,
   r.dist[static_cast<std::size_t>(source)] = 0;
   r.num_visited = 1;
 
-  const bool allow_pull = opts.enable_pull && !g.directed();
   const std::int64_t max_depth = depth_limit(opts);
 
   cur_.init(n);
@@ -150,15 +162,12 @@ void BfsEngine::run_serial_into(const CSRGraph& g, vid_t source,
 
   while (!cur_.empty() && level < max_depth) {
     ++level;
-    if (!cur_.dense() && allow_pull && cur_.arcs() > opts.min_pull_arcs &&
-        static_cast<double>(cur_.arcs()) * opts.alpha >
-            static_cast<double>(unexplored)) {
+    const Switch sw = direction_switch(g, opts, cur_, unexplored, prev_size);
+    if (sw == Switch::kToPull) {
       cur_.bits().resize(static_cast<std::size_t>(n));
       for (vid_t v : cur_.list()) cur_.bits().set(static_cast<std::size_t>(v));
       cur_.assume_dense(cur_.size(), cur_.arcs());
-    } else if (cur_.dense() && cur_.size() < prev_size &&
-               static_cast<double>(cur_.size()) * opts.beta <
-                   static_cast<double>(n)) {
+    } else if (sw == Switch::kToPush) {
       auto& lst = cur_.list();
       lst.clear();
       for (vid_t v = 0; v < n; ++v)

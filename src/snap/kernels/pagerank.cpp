@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "snap/debug/check.hpp"
-#include "snap/graph/compressed_csr.hpp"
 #include "snap/util/parallel.hpp"
 
 namespace snap {
@@ -74,16 +73,16 @@ PageRankResult finalize(std::vector<std::uint64_t> mass, int iterations,
   return out;
 }
 
-/// The engine, generic over the adjacency read path: `deg(v)` is the stored
-/// arc count and `row_sum(v, contrib)` returns the exact integer sum of
-/// contrib over v's neighbors.  Every reduction is an integer sum, so the
-/// serial and parallel paths are bitwise identical by construction (exact
-/// ordered reduction).
-template <typename DegFn, typename RowSumFn>
-PageRankResult run_flat(vid_t n, const PageRankParams& params, DegFn&& deg,
-                        RowSumFn&& row_sum) {
-  PageRankResult empty;
-  if (n == 0) return empty;
+}  // namespace
+
+/// Every reduction is an integer sum, so the serial and parallel paths are
+/// bitwise identical by construction (exact ordered reduction).
+PageRankResult pagerank(const CSRGraph& g, const PageRankParams& params) {
+  SNAP_ASSERT(!g.directed(),
+              "pagerank requires an undirected graph (fold with "
+              "as_undirected)");
+  const vid_t n = g.num_vertices();
+  if (n == 0) return {};
   SNAP_ASSERT(params.max_iters >= 0, "pagerank: max_iters ", params.max_iters,
               " must be non-negative");
   const std::uint64_t d_num = quantized_damping(params.damping);
@@ -101,11 +100,14 @@ PageRankResult run_flat(vid_t n, const PageRankParams& params, DegFn&& deg,
   for (int it = 0; it < params.max_iters; ++it) {
     auto scatter = [&](vid_t v) {
       const auto sv = static_cast<std::size_t>(v);
-      const eid_t d = deg(v);
+      const eid_t d = g.degree(v);
       contrib[sv] = d > 0 ? mass[sv] / static_cast<std::uint64_t>(d) : 0;
     };
     auto gather = [&](vid_t v) {
-      next[static_cast<std::size_t>(v)] = damp(row_sum(v, contrib), d_num);
+      std::uint64_t inflow = 0;
+      for (const vid_t u : g.neighbors(v))
+        inflow += contrib[static_cast<std::size_t>(u)];
+      next[static_cast<std::size_t>(v)] = damp(inflow, d_num);
     };
     std::uint64_t kept = 0;
     if (par) {
@@ -141,44 +143,6 @@ PageRankResult run_flat(vid_t n, const PageRankParams& params, DegFn&& deg,
     if (tol_mass > 0 && residual <= tol_mass) break;
   }
   return finalize(std::move(mass), iterations, residual);
-}
-
-}  // namespace
-
-PageRankResult pagerank(const CSRGraph& g, const PageRankParams& params) {
-  SNAP_ASSERT(!g.directed(),
-              "pagerank requires an undirected graph (fold with "
-              "as_undirected)");
-  const vid_t n = g.num_vertices();
-  return run_flat(
-      n, params, [&](vid_t v) { return g.degree(v); },
-      [&](vid_t v, const std::vector<std::uint64_t>& contrib) {
-        std::uint64_t s = 0;
-        for (const vid_t u : g.neighbors(v))
-          s += contrib[static_cast<std::size_t>(u)];
-        return s;
-      });
-}
-
-PageRankResult pagerank_compressed(const CompressedCSR& g,
-                                   const PageRankParams& params) {
-  SNAP_ASSERT(!g.directed(),
-              "pagerank_compressed requires an undirected graph");
-  const vid_t n = g.num_vertices();
-  // Decode degrees once: the scatter phase needs deg(v) per vertex and the
-  // varint header read is cheap but not free.
-  std::vector<eid_t> deg(static_cast<std::size_t>(n));
-  parallel::parallel_for(
-      n, [&](vid_t v) { deg[static_cast<std::size_t>(v)] = g.degree(v); });
-  return run_flat(
-      n, params,
-      [&](vid_t v) { return deg[static_cast<std::size_t>(v)]; },
-      [&](vid_t v, const std::vector<std::uint64_t>& contrib) {
-        std::uint64_t s = 0;
-        g.for_each_neighbor(
-            v, [&](vid_t u) { s += contrib[static_cast<std::size_t>(u)]; });
-        return s;
-      });
 }
 
 }  // namespace snap

@@ -7,16 +7,13 @@
 // uniformly.  What is not textbook is the arithmetic: SNAP represents rank
 // MASS as 64-bit fixed-point integers (the unit is 2^-60 of the total), so
 // every accumulation in the engine is an exact integer add — associative
-// and commutative.  That one choice buys the whole determinism story:
+// and commutative.  That one choice buys the whole determinism story: the
+// parallel path reduces per-thread partials in any grouping and still
+// matches the serial oracle bitwise at every thread count.
 //
-//   * the parallel path reduces per-thread partials in any grouping and
-//     still matches the serial oracle bitwise at every thread count;
-//   * the compressed path decodes each row and sums the same integers, so
-//     it matches the flat paths bitwise too.
-//
-// With IEEE doubles neither holds — float addition does not associate, so
-// a change of thread count or reduction grouping would perturb the last
-// bits.  See docs/ALGORITHMS.md "Fixed-point PageRank".
+// With IEEE doubles that does not hold — float addition does not
+// associate, so a change of thread count or reduction grouping would
+// perturb the last bits.  See docs/ALGORITHMS.md "Fixed-point PageRank".
 //
 // Spec (one iteration over n vertices, total mass T = 2^60, quantized
 // damping D = d_num / 2^30):
@@ -37,8 +34,6 @@
 #include "snap/graph/csr_graph.hpp"
 
 namespace snap {
-
-class CompressedCSR;
 
 /// Which engine pagerank() runs.  kAuto picks the parallel engine for
 /// graphs large enough to amortize the fork/join cost; the explicit values
@@ -81,11 +76,5 @@ struct PageRankResult {
 /// and the serial and parallel paths match bitwise.
 [[nodiscard]] PageRankResult pagerank(const CSRGraph& g,
                                       const PageRankParams& params = {});
-
-/// The same spec over the delta/varint-compressed adjacency: decodes each
-/// row instead of streaming it.  Mass vector is bitwise identical to
-/// pagerank() on the source graph.
-[[nodiscard]] PageRankResult pagerank_compressed(
-    const CompressedCSR& g, const PageRankParams& params = {});
 
 }  // namespace snap

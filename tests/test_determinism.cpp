@@ -16,7 +16,6 @@
 #include "snap/debug/determinism.hpp"
 #include "snap/debug/validate.hpp"
 #include "snap/gen/generators.hpp"
-#include "snap/graph/compressed_csr.hpp"
 #include "snap/graph/csr_graph.hpp"
 #include "snap/graph/dynamic_graph.hpp"
 #include "snap/graph/reorder.hpp"
@@ -350,18 +349,6 @@ TEST(Determinism, ReorderPermutationsAndGraphs) {
       h.sequence(r.new_to_old);
       hash_csr(h, r.graph);
     }
-  });
-  ASSERT_TRUE(report.deterministic) << report.to_string();
-}
-
-TEST(Determinism, CompressedCsrEncodeBytes) {
-  // Two-pass parallel encode into precomputed disjoint slices: the whole
-  // compressed buffer (offsets and bytes) is a pure function of the graph.
-  const CSRGraph g = rmat_graph(13, 8, 29);
-  const auto report = debug::check_determinism([&](debug::ByteHasher& h) {
-    const CompressedCSR c = CompressedCSR::from_graph(g);
-    h.sequence(c.byte_offsets());
-    h.sequence(c.bytes());
   });
   ASSERT_TRUE(report.deterministic) << report.to_string();
 }

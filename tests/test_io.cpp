@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "snap/gen/generators.hpp"
 #include "snap/io/binary_io.hpp"
@@ -349,6 +353,65 @@ TEST_F(IoTest, BinaryV2FutureVersionRejected) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
         << e.what();
+  }
+}
+
+/// Overwrite the i64 at `payload_offset` (bytes past the 48-byte v2
+/// header) and recompute the FNV-1a checksum (header bytes 40..47), so the
+/// file passes every integrity check and only its contents are wrong.
+void patch_payload_i64(const std::string& p, std::size_t payload_offset,
+                       std::int64_t value) {
+  std::vector<char> bytes;
+  {
+    std::ifstream in(p, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  constexpr std::size_t kHeader = 48;
+  ASSERT_LE(kHeader + payload_offset + 8, bytes.size());
+  std::memcpy(bytes.data() + kHeader + payload_offset, &value, 8);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = kHeader; i < bytes.size(); ++i) {
+    h ^= static_cast<unsigned char>(bytes[i]);
+    h *= 0x100000001b3ULL;
+  }
+  std::memcpy(bytes.data() + 40, &h, 8);
+  std::ofstream out(p, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(IoTest, BinaryV2RejectsOutOfRangeContents) {
+  // Path 0-1-2-3, unweighted: n = 4, m = 3, 6 arcs.  Payload layout:
+  // offsets {0,1,3,5,6} at 0, adjacency at 40, arc edge ids at 88, edge
+  // endpoint pairs at 136.
+  const auto g = gen::path_graph(4);
+  ASSERT_FALSE(g.weighted());
+  ASSERT_EQ(std::vector<eid_t>(g.row_offsets().begin(), g.row_offsets().end()),
+            (std::vector<eid_t>{0, 1, 3, 5, 6}));
+  struct Case {
+    const char* name;
+    std::size_t offset;
+    std::int64_t value;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"offsets", 8, 4, "offsets decrease"},  // {0,4,3,5,6}
+      {"adjacency", 40, 1000000, "neighbor id"},
+      {"adjacency-negative", 48, -1, "neighbor id"},
+      {"arc-edge-ids", 88, 3, "arc edge id"},  // == m
+      {"edge-endpoints", 136, 4, "edge endpoint"},  // == n
+  };
+  for (const Case& c : cases) {
+    const auto p = track(path(std::string("range_") + c.name + ".bin"));
+    io::write_binary(g, p);
+    patch_payload_i64(p, c.offset, c.value);
+    try {
+      io::read_binary(p);
+      ADD_FAILURE() << c.name << ": out-of-range file was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << c.name << ": " << e.what();
+    }
   }
 }
 

@@ -1,9 +1,9 @@
 // PageRank differential suite.  The engines compute in 64-bit fixed-point
 // mass (total 2^60) where every reduction is an exact integer sum, so ALL
-// paths — serial oracle, ordered-reduction parallel and compressed-CSR —
-// must agree BITWISE on the mass vector at every thread count.  The suite
-// sweeps the generator zoo x ThreadScope {1,2,4,8}, plus sanity checks
-// against closed-form stationary distributions (cycle, complete, star).
+// paths — serial oracle and ordered-reduction parallel — must agree
+// BITWISE on the mass vector at every thread count.  The suite sweeps the
+// generator zoo x ThreadScope {1,2,4,8}, plus sanity checks against
+// closed-form stationary distributions (cycle, complete, star).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "snap/gen/generators.hpp"
-#include "snap/graph/compressed_csr.hpp"
 #include "snap/kernels/pagerank.hpp"
 #include "snap/util/parallel.hpp"
 
@@ -98,18 +97,6 @@ TEST(PageRank, SerialAndParallelPathsAreBitwiseIdentical) {
       PageRankParams pp;
       pp.path = PageRankPath::kParallel;
       expect_identical(pagerank(g, pp), oracle,
-                       name + " threads=" + std::to_string(nt));
-    }
-  }
-}
-
-TEST(PageRank, CompressedMatchesFlatBitwise) {
-  for (const auto& [name, g] : instances()) {
-    const PageRankResult flat = pagerank(g);
-    const CompressedCSR c = CompressedCSR::from_graph(g);
-    for (const int nt : {1, 4}) {
-      parallel::ThreadScope scope(nt);
-      expect_identical(pagerank_compressed(c), flat,
                        name + " threads=" + std::to_string(nt));
     }
   }
